@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <utility>
 
 #include "engine/thread_pool.h"
@@ -315,11 +316,16 @@ EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture,
     }
   };
 
+  // threads_ - 1 pool workers: the calling thread participates in
+  // parallel_for, so exactly threads_ workers touch shard state.  The pool
+  // stays up through the merge below.
+  std::optional<ThreadPool> pool;
   if (threads_ > 1 && shard_count > 1) {
-    // threads_ - 1 pool workers: the calling thread participates in
-    // parallel_for, so exactly threads_ workers touch shard state.
-    ThreadPool pool(std::min(threads_ - 1, shard_count - 1), metrics);
-    pool.parallel_for(shard_count, run_shard);
+    pool.emplace(std::min(threads_ - 1, shard_count - 1), metrics);
+    pool->parallel_for(shard_count, run_shard);
+    // engine.pool.* meter the shard stage; the merge reuses the threads
+    // unmetered.
+    pool->stop_metrics();
   } else {
     for (std::size_t i = 0; i < shard_count; ++i) run_shard(i);
   }
@@ -334,7 +340,8 @@ EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture,
         trace != nullptr ? &trace->stream(obs::TraceStage::kEngine, 0)
                          : nullptr,
         trace, obs::TraceOp::kEngineMerge);
-    report.counters = merge_shards(shards, capture, merge_error);
+    report.counters = merge_shards(shards, capture, merge_error,
+                                   pool ? &*pool : nullptr);
   }
   // Shard workers joined above, so the trace snapshot contract holds.
   publish_trace_snapshot();

@@ -9,7 +9,8 @@
 //   * each shard runs on the work-stealing pool with its own Scenario,
 //     single-server RdnsCluster (seed split per shard, see
 //     ClusterConfig::for_shard) and thread-local DayCapture,
-//   * shard captures are merged in shard-index order (see shard_merge.h),
+//   * shard captures are merged in shard-index order on the same pool,
+//     tree, CHR and the rest concurrently (see shard_merge.h),
 //   * the classify stage fans Algorithm 1 over the effective-2LD zones on
 //     the same pool (subtrees are disjoint, so zone mining is race-free),
 //     and re-ranks with the total-order finding sort.

@@ -7,7 +7,10 @@
 // is either order-independent (CHR sums, rpDNS first-seen union, tree union
 // into ordered maps) or made deterministic by the fixed merge order plus a
 // final stable time sort of the fpDNS entries, so the merged capture is a
-// pure function of the scenario, never of the thread schedule.
+// pure function of the scenario, never of the thread schedule.  With a pool
+// the capture's three parts (tree, CHR, the rest) merge concurrently, each
+// still folding the shards in index order, so the pool changes the
+// schedule only (DESIGN.md §11).
 #pragma once
 
 #include <cstdint>
@@ -18,6 +21,8 @@
 #include "resolver/dns_cache.h"
 
 namespace dnsnoise {
+
+class ThreadPool;
 
 /// Cluster-side counters of one shard (mirrors the RdnsCluster accessors).
 struct ShardCounters {
@@ -53,12 +58,16 @@ struct ShardResult {
 };
 
 /// Merges `shards` (in index order) into `into`, which must already be
-/// start_day()-reset for the same day.  Counters are summed into the return
-/// value.  On the first shard with a non-empty error the merge stops and
-/// that error is reported through `error_out`; `into` should then be
-/// discarded.  After the last shard the fpDNS entries are stable-sorted by
-/// time, restoring the chronological order of a single tap.
+/// start_day()-reset for the same day; it takes shard 0's per-day state by
+/// move (DayCapture::merge_part), so the shard captures are consumed.
+/// Counters are summed into the return value.  A shard with a non-empty
+/// error stops the merge before any capture is touched, and the first such
+/// error is reported through `error_out` as "shard <i>: <error>"; `into`
+/// should then be discarded.  After the last shard the fpDNS entries are
+/// stable-sorted by time, restoring the chronological order of a single
+/// tap.  With a `pool` the capture parts merge concurrently and the shard
+/// captures are freed on the pool; the merged capture is the same.
 ShardCounters merge_shards(std::vector<ShardResult>& shards, DayCapture& into,
-                           std::string& error_out);
+                           std::string& error_out, ThreadPool* pool = nullptr);
 
 }  // namespace dnsnoise

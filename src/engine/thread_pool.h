@@ -47,6 +47,16 @@ class ThreadPool {
 
   std::size_t thread_count() const noexcept { return threads_.size(); }
 
+  /// Stops the engine.pool.* metrics: later tasks run unmetered, so the
+  /// metrics keep describing the stage the pool was metered for.  Call
+  /// from the submitting thread while no parallel_for is in flight; the
+  /// next submit's queue lock orders this write before any worker's read.
+  void stop_metrics() noexcept {
+    tasks_metric_ = nullptr;
+    steals_metric_ = nullptr;
+    queue_depth_max_ = nullptr;
+  }
+
   /// Enqueues one task.  From a worker thread the task lands in that
   /// worker's own deque (LIFO); from outside it round-robins.
   void submit(std::function<void()> task);

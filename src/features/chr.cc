@@ -23,8 +23,8 @@ void CacheHitRateTracker::grow_slots(std::size_t min_slots) {
 }
 
 CacheHitRateTracker::Counts& CacheHitRateTracker::entry_for(
-    std::string_view name, RRType type, std::string_view rdata) {
-  const std::uint64_t h = rr_hash(name, type, rdata);
+    std::string_view name, RRType type, std::string_view rdata,
+    std::uint64_t h) {
   std::size_t i = static_cast<std::size_t>(h) & slot_mask_;
   while (true) {
     const std::uint32_t ref = slots_[i];
@@ -58,7 +58,7 @@ CacheHitRateTracker::Counts& CacheHitRateTracker::entry_for(
 void CacheHitRateTracker::record_below(std::string_view name, RRType type,
                                        std::string_view rdata,
                                        std::uint32_t ttl) {
-  Counts& counts = entry_for(name, type, rdata);
+  Counts& counts = entry_for(name, type, rdata, rr_hash(name, type, rdata));
   if (counts.below + counts.above == 0) counts.ttl = ttl;
   ++counts.below;
 }
@@ -66,14 +66,16 @@ void CacheHitRateTracker::record_below(std::string_view name, RRType type,
 void CacheHitRateTracker::record_above(std::string_view name, RRType type,
                                        std::string_view rdata,
                                        std::uint32_t ttl) {
-  Counts& counts = entry_for(name, type, rdata);
+  Counts& counts = entry_for(name, type, rdata, rr_hash(name, type, rdata));
   if (counts.below + counts.above == 0) counts.ttl = ttl;
   ++counts.above;
 }
 
 void CacheHitRateTracker::merge_from(const CacheHitRateTracker& other) {
-  for (const auto& [key, src] : other.entries_) {
-    Counts& dst = entry_for(key.name, key.type, key.rdata);
+  for (std::size_t i = 0; i < other.entries_.size(); ++i) {
+    const auto& [key, src] = other.entries_[i];
+    // Same key, same hash: reuse other's instead of rehashing the bytes.
+    Counts& dst = entry_for(key.name, key.type, key.rdata, other.hashes_[i]);
     if (dst.below + dst.above == 0) dst.ttl = src.ttl;
     dst.below += src.below;
     dst.above += src.above;

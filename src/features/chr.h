@@ -88,9 +88,10 @@ class CacheHitRateTracker {
                  (fnv1a64(rdata) * 0x9e3779b97f4a7c15ull));
   }
 
-  /// Counts slot for the RR, created on first observation.
-  Counts& entry_for(std::string_view name, RRType type,
-                    std::string_view rdata);
+  /// Counts slot for the RR whose rr_hash is `h`, created on first
+  /// observation.
+  Counts& entry_for(std::string_view name, RRType type, std::string_view rdata,
+                    std::uint64_t h);
 
   void grow_slots(std::size_t min_slots);
 

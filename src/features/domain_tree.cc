@@ -77,7 +77,10 @@ DomainNameTree::Node& DomainNameTree::insert(const DomainName& name) {
   for (std::size_t i = 0; i < labels; ++i) {
     node = &child_of(*node, name.label_from_right(i));
   }
-  if (node != root_) node->black = true;
+  if (node != root_) {
+    node->black = true;
+    mark_resolved(*node);
+  }
   return *node;
 }
 
@@ -113,6 +116,7 @@ void DomainNameTree::merge_from(const DomainNameTree& other) {
   const auto merge_node = [this](auto&& self, Node& dst,
                                  const Node& src) -> void {
     if (src.black) dst.black = true;
+    if (src.resolved) mark_resolved(dst);
     for (const Node* src_child : src.kids_) {
       self(self, child_of(dst, src_child->label), *src_child);
     }

@@ -48,6 +48,8 @@ class DomainNameTree {
     Node* parent = nullptr;
     std::size_t depth = 0;  // 0 for the root
     bool black = false;
+    bool resolved = false;  // inserted (or merged in) as a name; decolor
+                            // leaves it set
     std::uint32_t seq = 0;  // dense per-tree node number (edge-map key)
 
     /// Children sorted by label text (the deterministic traversal order of
@@ -79,9 +81,9 @@ class DomainNameTree {
   DomainNameTree(DomainNameTree&&) = default;
   DomainNameTree& operator=(DomainNameTree&&) = default;
 
-  /// Inserts `name`, marking its node black.  Intermediate nodes stay
-  /// white unless they are themselves inserted.  Allocation-free when the
-  /// name's path already exists.
+  /// Inserts `name`, marking its node black and resolved.  Intermediate
+  /// nodes stay white unless they are themselves inserted.  Allocation-free
+  /// when the name's path already exists.
   Node& insert(const DomainName& name);
 
   /// Finds the node for `name`, or nullptr.  Never allocates.
@@ -99,16 +101,28 @@ class DomainNameTree {
   /// per-day summaries and tests, not hot loops.
   std::size_t black_count() const noexcept;
 
+  /// Number of resolved nodes: names inserted (or merged in), counted as
+  /// they arrive.  O(1), and unlike black_count() unaffected by decolor.
+  std::size_t resolved_count() const noexcept { return resolved_count_; }
+
+  /// Visits every node, the root included, in creation order — not label
+  /// order, so only order-independent folds (counts) may use it.
+  template <typename Visit>
+  void for_each_node(Visit&& visit) const {
+    for (const Node& node : nodes_) visit(node);
+  }
+
   /// Turns a black node white.  Touches only `node` — no shared tree state —
   /// so concurrent decolors in disjoint subtrees are race-free (the parallel
   /// miner relies on this).
   static void decolor(Node& node) noexcept { node.black = false; }
 
   /// Unions `other` into this tree: every node of `other` is created here
-  /// if absent, and black nodes stay black (black |= other.black).  Node and
-  /// black counts follow.  Labels are remapped through their text into this
-  /// tree's intern table, and traversal stays label-sorted, so the merged
-  /// order is independent of merge order (shard merging).
+  /// if absent, and black nodes stay black (black |= other.black, likewise
+  /// resolved).  Node, black and resolved counts follow.  Labels are
+  /// remapped through their text into this tree's intern table, and
+  /// traversal stays label-sorted, so the merged order is independent of
+  /// merge order (shard merging).
   void merge_from(const DomainNameTree& other);
 
   /// Reconstructs the full domain name of a node ("" for the root).
@@ -157,6 +171,15 @@ class DomainNameTree {
   std::size_t edge_count_ = 0;
   Node* root_ = nullptr;
   std::size_t node_count_ = 1;
+  std::size_t resolved_count_ = 0;
+
+  /// Sets `node`'s resolved bit, counting it once.
+  void mark_resolved(Node& node) noexcept {
+    if (!node.resolved) {
+      node.resolved = true;
+      ++resolved_count_;
+    }
+  }
 };
 
 }  // namespace dnsnoise

@@ -1,5 +1,7 @@
 #include "miner/day_capture.h"
 
+#include <utility>
+
 #include "workload/scenario.h"
 
 namespace dnsnoise {
@@ -29,20 +31,63 @@ void DayCapture::start_day(std::int64_t day_index) {
   chr_ = CacheHitRateTracker();
   below_ = HourlySeries();
   above_ = HourlySeries();
-  queried_.clear();
-  resolved_.clear();
+  queried_ = NameTable();
   fpdns_.clear();
 }
 
 void DayCapture::merge_from(const DayCapture& other) {
-  tree_.merge_from(other.tree_);
-  chr_.merge_from(other.chr_);
-  below_ += other.below_;
-  above_ += other.above_;
-  queried_.insert(other.queried_.begin(), other.queried_.end());
-  resolved_.insert(other.resolved_.begin(), other.resolved_.end());
-  fpdns_.append(other.fpdns_);
-  rpdns_.merge_from(other.rpdns_);
+  for (std::size_t part = 0; part < kPartCount; ++part) {
+    union_part(static_cast<Part>(part), other);
+  }
+}
+
+void DayCapture::merge_part(Part part, std::span<DayCapture* const> shards) {
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    if (i == 0 && adopt_part(part, *shards[0])) continue;
+    union_part(part, *shards[i]);
+  }
+}
+
+void DayCapture::union_part(Part part, const DayCapture& other) {
+  switch (part) {
+    case Part::kTree:
+      tree_.merge_from(other.tree_);
+      break;
+    case Part::kChr:
+      chr_.merge_from(other.chr_);
+      break;
+    case Part::kRest:
+      below_ += other.below_;
+      above_ += other.above_;
+      for (NameId id = 0; id < other.queried_.size(); ++id) {
+        queried_.intern(other.queried_.name(id));
+      }
+      fpdns_.append(other.fpdns_);
+      rpdns_.merge_from(other.rpdns_);
+      break;
+  }
+}
+
+bool DayCapture::adopt_part(Part part, DayCapture& shard) {
+  // Each move stands for a union into an empty member; the exchange leaves
+  // the shard's member empty but valid.
+  switch (part) {
+    case Part::kTree:
+      if (tree_.node_count() != 1) return false;
+      tree_ = std::exchange(shard.tree_, DomainNameTree());
+      return true;
+    case Part::kChr:
+      if (chr_.unique_rrs() != 0) return false;
+      chr_ = std::exchange(shard.chr_, CacheHitRateTracker());
+      return true;
+    case Part::kRest:
+      if (queried_.size() != 0 || !fpdns_.empty()) return false;
+      queried_ = std::exchange(shard.queried_, NameTable());
+      fpdns_ = std::exchange(shard.fpdns_, FpDnsDataset());
+      union_part(Part::kRest, shard);  // the series and the rpDNS store
+      return true;
+  }
+  return false;
 }
 
 void DayCapture::bump(HourlySeries& series, SimTime ts, std::uint64_t units,
@@ -62,7 +107,7 @@ void DayCapture::on_below(SimTime ts, std::uint64_t client_id,
                                   ? 1
                                   : static_cast<std::uint64_t>(answers.size());
   bump(below_, ts, units, nx, question.name);
-  queried_.insert(question.name.text());
+  queried_.intern(question.name.text());
   if (config_.keep_fpdns) {
     fpdns_.add_response(ts, client_id, FpDirection::kBelow, question, rcode,
                         answers);
@@ -71,7 +116,6 @@ void DayCapture::on_below(SimTime ts, std::uint64_t client_id,
   for (const ResourceRecord& rr : answers) {
     chr_.record_below(rr.name.text(), rr.type, rr.rdata, rr.ttl);
     tree_.insert(rr.name);
-    resolved_.insert(rr.name.text());
     if (config_.feed_rpdns) {
       rpdns_.add(RRKey(rr), config_.day_index);
     }

@@ -3,17 +3,19 @@
 // Subscribes to an RdnsCluster's batched tap stream (TapObserver) and
 // accumulates everything the paper's analyses need for that day: the domain
 // name tree of resolved names, per-RR cache-hit-rate counts, hourly
-// traffic-volume series with tenant attribution (Fig. 2), unique
-// queried/resolved name sets, and optionally the raw fpDNS entries and
+// traffic-volume series with tenant attribution (Fig. 2), the unique
+// queried names (interned in a NameTable; the unique resolved names are the
+// tree's resolved nodes), and optionally the raw fpDNS entries and
 // rpDNS/pDNS-DB feeds.  Captures are mergeable: the sharded engine runs one
-// DayCapture per RDNS-server shard and unions them (see merge_from).
+// DayCapture per RDNS-server shard and unions them part by part (see
+// merge_part), the parts concurrently on its pool.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <string>
-#include <unordered_set>
+#include <span>
 
+#include "dns/name_table.h"
 #include "features/chr.h"
 #include "features/domain_tree.h"
 #include "pdns/fpdns.h"
@@ -62,6 +64,11 @@ struct DayCaptureConfig {
 
 class DayCapture final : public TapObserver {
  public:
+  /// The independently mergeable parts of a capture.  Distinct parts touch
+  /// disjoint members, so the parts of one capture may merge concurrently.
+  enum class Part { kTree, kChr, kRest };
+  static constexpr std::size_t kPartCount = 3;
+
   explicit DayCapture(const DayCaptureConfig& config = {});
 
   /// Subscribes this capture to the cluster's batched tap stream.  The
@@ -83,17 +90,25 @@ class DayCapture final : public TapObserver {
                 std::span<const ResourceRecord> answers);
 
   /// Advances to a new day.  This is the ONE reset point of a capture:
-  /// clears all per-day state (tree, CHR, hourly series, name sets, fpDNS
-  /// entries) but keeps the cumulative cross-day rpDNS store.  Every
+  /// clears all per-day state (tree, CHR, hourly series, queried names,
+  /// fpDNS entries) but keeps the cumulative cross-day rpDNS store.  Every
   /// simulate/run entry point calls this before feeding a day.
   void start_day(std::int64_t day_index);
 
   /// Unions another capture of the SAME day into this one: domain-tree
-  /// union, CHR count summation, hourly-series addition, name-set union,
-  /// fpDNS append, rpDNS first-seen merge.  Merging shard captures in shard
-  /// order yields a deterministic result regardless of how many threads
-  /// produced them.
+  /// union, CHR count summation, hourly-series addition, queried-name
+  /// union, fpDNS append, rpDNS first-seen merge.  Merging shard captures in
+  /// shard order yields a deterministic result regardless of how many
+  /// threads produced them.
   void merge_from(const DayCapture& other);
+
+  /// Folds one part of `shards` (captures of the SAME day) into this
+  /// capture in index order, with the same result as merge_from over each
+  /// shard.  Where this capture's part is still empty (start_day()-reset),
+  /// the first shard's per-day state is taken by move instead of
+  /// re-inserted, leaving that shard's part empty.  The cumulative rpDNS
+  /// store (kRest) is always merged, never replaced.
+  void merge_part(Part part, std::span<DayCapture* const> shards);
 
   DomainNameTree& tree() noexcept { return tree_; }
   const DomainNameTree& tree() const noexcept { return tree_; }
@@ -109,15 +124,16 @@ class DayCapture final : public TapObserver {
 
   /// Unique names queried below (successful or not) this day.
   std::size_t unique_queried() const noexcept { return queried_.size(); }
-  /// Unique names successfully resolved this day.
-  std::size_t unique_resolved() const noexcept { return resolved_.size(); }
+  /// Unique names successfully resolved this day: the tree's resolved
+  /// nodes, counted at ingest (mining's decolor does not change it).
+  std::size_t unique_resolved() const noexcept {
+    return tree_.resolved_count();
+  }
 
-  const std::unordered_set<std::string>& queried_names() const noexcept {
-    return queried_;
-  }
-  const std::unordered_set<std::string>& resolved_names() const noexcept {
-    return resolved_;
-  }
+  /// The unique queried names, ids in first-query order (merged captures:
+  /// shard order).  The resolved names are the tree nodes whose `resolved`
+  /// bit is set.
+  const NameTable& queried_names() const noexcept { return queried_; }
 
  private:
   DayCaptureConfig config_;
@@ -127,8 +143,13 @@ class DayCapture final : public TapObserver {
   FpDnsDataset fpdns_;
   HourlySeries below_;
   HourlySeries above_;
-  std::unordered_set<std::string> queried_;
-  std::unordered_set<std::string> resolved_;
+  NameTable queried_;
+
+  /// merge_from for one part.
+  void union_part(Part part, const DayCapture& other);
+  /// Moves `shard`'s part into this capture when this part is empty;
+  /// false (nothing moved) otherwise.
+  bool adopt_part(Part part, DayCapture& shard);
 
   static void bump(HourlySeries& series, SimTime ts, std::uint64_t units,
                    bool nx, const DomainName& qname);

@@ -1,20 +1,43 @@
 #include "miner/evaluate.h"
 
+#include <algorithm>
+
 namespace dnsnoise {
+
+namespace {
+
+std::size_t label_count(std::string_view name) {
+  return name.empty() ? 0
+                      : 1 + static_cast<std::size_t>(
+                                std::count(name.begin(), name.end(), '.'));
+}
+
+}  // namespace
 
 FindingIndex::FindingIndex(std::span<const DisposableZoneFinding> findings) {
   for (const DisposableZoneFinding& finding : findings) {
-    rules_[finding.zone].insert(finding.depth);
+    const std::size_t zone_labels = label_count(finding.zone);
+    if (finding.depth < name_depths_.size() &&
+        zone_labels < zone_labels_.size()) {
+      rules_[finding.zone].set(finding.depth);
+      name_depths_.set(finding.depth);
+      zone_labels_.set(zone_labels);
+    }
     ++count_;
   }
 }
 
-bool FindingIndex::is_disposable(const DomainName& name) const {
-  const std::size_t depth = name.label_count();
-  for (std::size_t k = depth - 1; k >= 1; --k) {
-    const auto it = rules_.find(std::string(name.nld_view(k)));
-    if (it != rules_.end() && it->second.contains(depth)) return true;
-    if (k == 1) break;
+bool FindingIndex::is_disposable(std::string_view name) const {
+  const std::size_t depth = label_count(name);
+  if (depth >= name_depths_.size() || !name_depths_.test(depth)) return false;
+  // The proper suffixes, longest first: the text after each dot.  Only
+  // suffixes as long as some finding zone are probed.
+  std::size_t suffix_labels = depth;
+  for (std::size_t dot = name.find('.'); dot != std::string_view::npos;
+       dot = name.find('.', dot + 1)) {
+    if (!zone_labels_.test(--suffix_labels)) continue;
+    const auto it = rules_.find(name.substr(dot + 1));
+    if (it != rules_.end() && it->second.test(depth)) return true;
   }
   return false;
 }

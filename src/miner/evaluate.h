@@ -2,9 +2,12 @@
 // finding index used to attribute traffic to mined disposable zones.
 #pragma once
 
+#include <bitset>
 #include <cstddef>
+#include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -20,14 +23,32 @@ class FindingIndex {
  public:
   explicit FindingIndex(std::span<const DisposableZoneFinding> findings);
 
-  /// True when the name's depth and an enclosing zone match some finding.
-  bool is_disposable(const DomainName& name) const;
+  /// True when the name's depth and a proper enclosing zone match some
+  /// finding.  `name` is normalized text (DomainName::text()); each proper
+  /// suffix is probed as a view, so the lookup neither parses nor
+  /// allocates.
+  bool is_disposable(std::string_view name) const;
+  bool is_disposable(const DomainName& name) const {
+    return is_disposable(std::string_view(name.text()));
+  }
 
   std::size_t size() const noexcept { return count_; }
 
  private:
-  // zone text -> set of group depths.
-  std::unordered_map<std::string, std::unordered_set<std::size_t>> rules_;
+  struct TextHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view text) const noexcept {
+      return std::hash<std::string_view>{}(text);
+    }
+  };
+
+  // A name has at most 127 labels, so label counts index 128-bit sets.
+  using DepthSet = std::bitset<128>;
+
+  // zone text -> group depths.
+  std::unordered_map<std::string, DepthSet, TextHash, std::equal_to<>> rules_;
+  DepthSet name_depths_;  // every finding's group depth
+  DepthSet zone_labels_;  // every finding zone's label count
   std::size_t count_ = 0;
 };
 

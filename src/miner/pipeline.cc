@@ -96,7 +96,7 @@ MiningDayResult finish_mining_day(DayCapture& tap, const Scenario& scenario,
   heartbeat.beat();
 
   MiningDayResult result;
-  if (tap.tree().black_count() == 0) {
+  if (tap.unique_resolved() == 0) {
     result.status = MiningDayStatus::kEmptyCapture;
     result.error =
         "mining day captured no resolved names; check traffic volume";
@@ -150,17 +150,19 @@ MiningDayResult finish_mining_day(DayCapture& tap, const Scenario& scenario,
   agg.unique_queried = tap.unique_queried();
   agg.unique_resolved = tap.unique_resolved();
   agg.unique_rrs = tap.chr().unique_rrs();
-  for (const std::string& name : tap.queried_names()) {
-    const auto parsed = DomainName::parse(name);
-    if (parsed && index.is_disposable(*parsed)) ++agg.disposable_queried;
+  // Text lookups on stored names: no parse, no per-name allocation.
+  const NameTable& queried = tap.queried_names();
+  for (NameId id = 0; id < queried.size(); ++id) {
+    if (index.is_disposable(queried.name(id))) ++agg.disposable_queried;
   }
-  for (const std::string& name : tap.resolved_names()) {
-    const auto parsed = DomainName::parse(name);
-    if (parsed && index.is_disposable(*parsed)) ++agg.disposable_resolved;
-  }
+  std::string name;  // scratch, reused across the resolved nodes
+  tap.tree().for_each_node([&](const DomainNameTree::Node& node) {
+    if (!node.resolved) return;
+    DomainNameTree::full_name_into(node, name);
+    if (index.is_disposable(name)) ++agg.disposable_resolved;
+  });
   for (const auto& [key, counts] : tap.chr().entries()) {
-    const auto parsed = DomainName::parse(key.name);
-    if (parsed && index.is_disposable(*parsed)) ++agg.disposable_rrs;
+    if (index.is_disposable(key.name)) ++agg.disposable_rrs;
   }
   // Snapshot last, so the mining-stage timers above are included.
   if (metrics != nullptr) {

@@ -29,6 +29,34 @@ TEST(DomainTreeTest, DuplicateInsertIsIdempotent) {
   EXPECT_EQ(tree.black_count(), 1u);
 }
 
+TEST(DomainTreeTest, ResolvedCountIsKeptAtInsertAndSurvivesDecolor) {
+  DomainNameTree tree;
+  tree.insert(DomainName("a.example.com"));
+  tree.insert(DomainName("a.example.com"));
+  tree.insert(DomainName("b.example.com"));
+  EXPECT_EQ(tree.resolved_count(), 2u);
+  DomainNameTree::decolor(*tree.find(DomainName("a.example.com")));
+  EXPECT_EQ(tree.black_count(), 1u);
+  EXPECT_EQ(tree.resolved_count(), 2u);
+  EXPECT_TRUE(tree.find(DomainName("a.example.com"))->resolved);
+  EXPECT_FALSE(tree.find(DomainName("example.com"))->resolved);
+
+  // A merge carries resolved bits (decolored ones included) once.
+  DomainNameTree other;
+  other.insert(DomainName("b.example.com"));
+  other.insert(DomainName("c.example.com"));
+  tree.merge_from(other);
+  EXPECT_EQ(tree.resolved_count(), 3u);
+  std::size_t visited = 0;
+  std::size_t resolved = 0;
+  tree.for_each_node([&](const DomainNameTree::Node& node) {
+    ++visited;
+    if (node.resolved) ++resolved;
+  });
+  EXPECT_EQ(visited, tree.node_count());
+  EXPECT_EQ(resolved, tree.resolved_count());
+}
+
 TEST(DomainTreeTest, NodeCountAndSharing) {
   DomainNameTree tree;
   tree.insert(DomainName("a.example.com"));

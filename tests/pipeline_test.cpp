@@ -87,6 +87,66 @@ TEST(PipelineUnitTest, FindingIndexMatchesZoneAndDepth) {
   EXPECT_FALSE(index.is_disposable(DomainName("vendor.com")));
 }
 
+/// The parse-based lookup FindingIndex replaced: a linear scan of the
+/// findings over the name's proper suffixes.
+bool reference_is_disposable(const std::vector<DisposableZoneFinding>& findings,
+                             const DomainName& name) {
+  const std::size_t depth = name.label_count();
+  for (std::size_t k = 1; k < depth; ++k) {
+    for (const DisposableZoneFinding& finding : findings) {
+      if (finding.depth == depth && finding.zone == name.nld_view(k)) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+TEST(PipelineUnitTest, FindingIndexTextLookupMatchesDomainNameLookup) {
+  std::vector<DisposableZoneFinding> findings;
+  DisposableZoneFinding f;
+  f.depth = 4;
+  f.zone = "a.com";  // nested findings at the same depth
+  findings.push_back(f);
+  f.zone = "b.a.com";
+  findings.push_back(f);
+  f.zone = "c.org";
+  f.depth = 3;
+  findings.push_back(f);
+  const FindingIndex index(findings);
+
+  const std::vector<std::string> names = {
+      "x.b.a.com",    // under both nested zones, at their depth
+      "x.z.a.com",    // under the outer zone only
+      "x.y.b.a.com",  // under both, too deep
+      "b.a.com",      // equal to a zone
+      "a.com",        // equal to a zone
+      "com",          // depth 1
+      "org",          // depth 1
+      "x.c.org",      // under c.org at its depth
+      "x.y.c.org",    // under c.org, wrong depth
+      "c.org",        // equal to a zone
+      "x.y.b.a.net",  // under no finding
+      "q.x.y.a.com",  // under a.com, too deep
+      "w.x.a.com.cn"  // a zone's text but not a suffix
+  };
+  for (const std::string& text : names) {
+    SCOPED_TRACE(text);
+    const DomainName name(text);
+    const bool expected = reference_is_disposable(findings, name);
+    EXPECT_EQ(index.is_disposable(std::string_view(text)), expected);
+    EXPECT_EQ(index.is_disposable(name), expected);
+  }
+  EXPECT_TRUE(index.is_disposable(std::string_view("x.b.a.com")));
+  EXPECT_TRUE(index.is_disposable(std::string_view("x.z.a.com")));
+  EXPECT_FALSE(index.is_disposable(std::string_view("x.y.b.a.com")));
+  EXPECT_FALSE(index.is_disposable(std::string_view("b.a.com")));
+  EXPECT_FALSE(index.is_disposable(std::string_view("com")));
+  EXPECT_TRUE(index.is_disposable(std::string_view("x.c.org")));
+  EXPECT_FALSE(index.is_disposable(std::string_view("x.y.b.a.net")));
+  EXPECT_FALSE(index.is_disposable(std::string_view("")));
+}
+
 TEST(PipelineUnitTest, EvaluateFindingsMatching) {
   GroundTruth truth;
   truth.disposable_zones.push_back({"avqs.vendor.com", 4, "reputation"});
