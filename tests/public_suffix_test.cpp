@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <stdexcept>
 
 namespace dnsnoise {
@@ -108,6 +109,10 @@ struct SuffixCase {
   const char* suffix;
   const char* registrable;  // "" when none
 };
+
+// Print the case by its domain, so the discovered test names are stable
+// rather than the default byte dump of the struct's pointers.
+void PrintTo(const SuffixCase& c, std::ostream* os) { *os << c.name; }
 
 class SuffixSweepTest : public ::testing::TestWithParam<SuffixCase> {};
 
