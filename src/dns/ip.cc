@@ -1,7 +1,7 @@
 #include "dns/ip.h"
 
 #include <cctype>
-#include <cstdio>
+#include <charconv>
 
 #include "util/strings.h"
 
@@ -31,9 +31,13 @@ std::optional<Ipv4> parse_ipv4(std::string_view text) noexcept {
 
 std::string format_ipv4(Ipv4 ip) {
   const auto o = ip.octets();
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", o[0], o[1], o[2], o[3]);
-  return buf;
+  std::string out;  // at most 15 characters: fits the inline buffer
+  char digits[3];
+  for (std::size_t i = 0; i < 4; ++i) {
+    if (i > 0) out.push_back('.');
+    out.append(digits, std::to_chars(digits, digits + 3, o[i]).ptr);
+  }
+  return out;
 }
 
 std::optional<Ipv6> parse_ipv6(std::string_view text) noexcept {
@@ -108,22 +112,22 @@ std::string format_ipv6(const Ipv6& ip) {
     }
     i = j;
   }
-  std::string out;
-  char buf[8];
+  char buf[40];  // 8 groups of at most 4 digits, 7 separators
+  char* p = buf;
   for (int i = 0; i < 8;) {
     if (i == best_start) {
       // One colon closes the previous group, the second marks the gap.
-      out += "::";
+      *p++ = ':';
+      *p++ = ':';
       i += best_len;
-      if (i == 8) return out;
       continue;
     }
-    if (!out.empty() && out.back() != ':') out.push_back(':');
-    std::snprintf(buf, sizeof(buf), "%x", groups[static_cast<std::size_t>(i)]);
-    out += buf;
+    if (p != buf && p[-1] != ':') *p++ = ':';
+    const std::uint16_t group = groups[static_cast<std::size_t>(i)];
+    p = std::to_chars(p, buf + sizeof(buf), group, 16).ptr;
     ++i;
   }
-  return out;
+  return std::string(buf, p);
 }
 
 }  // namespace dnsnoise

@@ -168,6 +168,12 @@ EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture) {
 
 EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture,
                                      std::int64_t day_index) {
+  return simulate(date, capture, day_index, nullptr);
+}
+
+EngineReport MiningSession::simulate(
+    ScenarioDate date, DayCapture& capture, std::int64_t day_index,
+    std::shared_ptr<const ScenarioNamespace> ns) {
   EngineReport report;
   const std::size_t shard_count = options_.cluster.server_count;
   report.shard_count = shard_count;
@@ -196,6 +202,9 @@ EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture,
     return report;
   }
 
+  if (ns == nullptr) {
+    ns = std::make_shared<const ScenarioNamespace>(date, options_.scale);
+  }
   capture.start_day(day_index);
   // One sketch shard per engine shard, created up front so run_shard only
   // reads stable references (plane growth is not hot-path safe).
@@ -242,11 +251,11 @@ EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture,
               : nullptr,
           trace, obs::TraceOp::kEngineShard);
       shard_trace.annotate({}, 0, obs::TraceOutcome::kNone, index);
-      // Every shard builds its own Scenario: zone models mutate while
-      // sampling and the authority keeps lookup counters, so sharing one
-      // instance across workers would race.  Same (date, scale) => same
-      // zone population in every shard.
-      Scenario scenario(date, options_.scale);
+      // Every shard draws from its own Scenario over the run's namespace:
+      // the namespace is immutable, while the generator, the disposable
+      // zones' recent-name rings and the authority's counters — every
+      // byte written while sampling and resolving — belong to this shard.
+      Scenario scenario(ns, options_.scale);
       ClusterConfig shard_config = options_.cluster.for_shard(index);
       shard_config.metrics = metrics;
       shard_config.trace = trace;
@@ -274,7 +283,7 @@ EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture,
             static_cast<double>(warm_scale.queries_per_day) *
             options_.warmup_volume_fraction);
         warm_scale.traffic_stream ^= 0xbeefcafeULL;
-        Scenario warm(date, warm_scale);
+        Scenario warm(ns, warm_scale);
         warm.traffic().run_day_shard(day_index - 1, spec, feed);
         fed = 0;  // warmup queries are not part of the day
       }
@@ -368,8 +377,12 @@ MiningDayResult MiningSession::run(ScenarioDate date, DayCapture& capture,
   // Nested with simulate()'s scope (add/sub gauge), so /healthz sees the
   // run as active through the mining stages too.
   const obs::RunActiveScope run_active(metrics_.get());
-  Scenario scenario(date, options_.scale);
-  const EngineReport report = simulate(date, capture, day_index);
+  // The ground truth and every shard's streams share one namespace.
+  const Scenario scenario(
+      std::make_shared<const ScenarioNamespace>(date, options_.scale),
+      options_.scale);
+  const EngineReport report =
+      simulate(date, capture, day_index, scenario.shared_namespace());
   if (!report.ok()) {
     MiningDayResult result;
     result.status = report.status;

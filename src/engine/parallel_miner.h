@@ -6,7 +6,10 @@
 //
 //   * the simulated day is partitioned by RDNS server (one shard per
 //     server; requires client-hash balancing for server_count > 1),
-//   * each shard runs on the work-stealing pool with its own Scenario,
+//   * the day's ScenarioNamespace (zone models, Zipf tables, site index,
+//     ground truth) is built once per run and shared read-only,
+//   * each shard runs on the work-stealing pool with its own Scenario over
+//     that namespace (generator, recent-name rings, authority counters),
 //     single-server RdnsCluster (seed split per shard, see
 //     ClusterConfig::for_shard) and thread-local DayCapture,
 //   * shard captures are merged in shard-index order on the same pool,
@@ -179,6 +182,11 @@ class MiningSession {
   /// registry; called by enable_telemetry and by enable_metrics when a
   /// server is already running.
   void restart_telemetry();
+  /// simulate() over `ns`, the run's shared namespace (built here when
+  /// null): every shard's day and warm-up scenario draws from it.
+  EngineReport simulate(ScenarioDate date, DayCapture& capture,
+                        std::int64_t day_index,
+                        std::shared_ptr<const ScenarioNamespace> ns);
   /// Publishes the frozen trace snapshot to the telemetry server (no-op
   /// when either side is off).  Callers must have quiesced all trace
   /// writers first — shard workers joined — per the TraceCollector

@@ -52,12 +52,15 @@ ServedMiningDay::ServedMiningDay(
     // The same reduced-volume warmup day simulate_day runs, in-process and
     // before the capture attaches: caches reach steady state identically
     // whether the measured day then arrives in-process or over the wire.
+    // It draws from the day scenario's namespace; the authority hook's
+    // extra zones stay on the day scenario's authority, which the cluster
+    // resolves against.
     ScenarioScale warm_scale = scenario_.scale();
     warm_scale.queries_per_day = static_cast<std::uint64_t>(
         static_cast<double>(warm_scale.queries_per_day) *
         options_.warmup_volume_fraction);
     warm_scale.traffic_stream ^= 0xbeefcafeULL;
-    Scenario warm(date, warm_scale);
+    Scenario warm(scenario_.shared_namespace(), warm_scale);
     drive_warmup(warm.traffic(), *cluster_, day_index_ - 1, heartbeat);
   }
 

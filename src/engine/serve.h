@@ -3,7 +3,8 @@
 //
 // A ServedMiningDay is the socket-fed twin of MiningSession::run(): it
 // builds the day's Scenario and RdnsCluster, runs the usual in-process
-// warmup day, attaches the DayCapture tap, then starts a
+// warmup day (a second stream over the day scenario's namespace, built
+// once per served day), attaches the DayCapture tap, then starts a
 // resolver/wire_frontend serving RFC 1035 queries over UDP (+ TCP
 // fallback) instead of driving the generator loop itself.  Every served
 // query flows through the same RdnsCluster::query_view path, so the

@@ -32,6 +32,7 @@ void DayCapture::start_day(std::int64_t day_index) {
   below_ = HourlySeries();
   above_ = HourlySeries();
   queried_ = NameTable();
+  qname_in_tree_.clear();
   fpdns_.clear();
 }
 
@@ -107,15 +108,21 @@ void DayCapture::on_below(SimTime ts, std::uint64_t client_id,
                                   ? 1
                                   : static_cast<std::uint64_t>(answers.size());
   bump(below_, ts, units, nx, question.name);
-  queried_.intern(question.name.text());
+  const NameId qname_id = queried_.intern(question.name.text());
   if (config_.keep_fpdns) {
     fpdns_.add_response(ts, client_id, FpDirection::kBelow, question, rcode,
                         answers);
   }
   if (nx) return;
+  if (qname_id >= qname_in_tree_.size()) qname_in_tree_.resize(qname_id + 1);
   for (const ResourceRecord& rr : answers) {
     chr_.record_below(rr.name.text(), rr.type, rr.rdata, rr.ttl);
-    tree_.insert(rr.name);
+    if (rr.name.text() != question.name.text()) {
+      tree_.insert(rr.name);
+    } else if (!qname_in_tree_[qname_id]) {
+      tree_.insert(rr.name);
+      qname_in_tree_[qname_id] = true;
+    }
     if (config_.feed_rpdns) {
       rpdns_.add(RRKey(rr), config_.day_index);
     }

@@ -14,6 +14,7 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "dns/name_table.h"
 #include "features/chr.h"
@@ -144,6 +145,11 @@ class DayCapture final : public TapObserver {
   HourlySeries below_;
   HourlySeries above_;
   NameTable queried_;
+  /// Per queried-name id: the name already went into tree_ as the owner of
+  /// one of its own answers this day, so later answers skip the repeat
+  /// insert (DomainNameTree::insert is idempotent while nothing decolors,
+  /// which only mining does, after ingest).  Other owners always insert.
+  std::vector<bool> qname_in_tree_;
 
   /// merge_from for one part.
   void union_part(Part part, const DayCapture& other);

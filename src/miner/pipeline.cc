@@ -60,7 +60,7 @@ DnsCacheStats simulate_day(Scenario& scenario, DayCapture& capture,
         static_cast<double>(warm_scale.queries_per_day) *
         options.warmup_volume_fraction);
     warm_scale.traffic_stream ^= 0xbeefcafeULL;
-    Scenario warm(scenario.date(), warm_scale);
+    Scenario warm(scenario.shared_namespace(), warm_scale);
     drive_day(warm.traffic(), cluster, day_index - 1, &heartbeat);
   }
   capture.start_day(day_index);

@@ -98,7 +98,7 @@ struct TraceEvent {
     const std::size_t n = text.size() < sizeof(label) - 1
                               ? text.size()
                               : sizeof(label) - 1;
-    std::memcpy(label, text.data(), n);
+    if (n > 0) std::memcpy(label, text.data(), n);  // data() may be null
     label[n] = '\0';
   }
 };

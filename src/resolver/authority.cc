@@ -1,5 +1,7 @@
 #include "resolver/authority.h"
 
+#include <algorithm>
+
 #include "dns/ip.h"
 #include "util/rng.h"
 
@@ -8,16 +10,18 @@ namespace dnsnoise {
 void SyntheticAuthority::register_zone(const DomainName& apex,
                                        Handler handler) {
   zones_[apex.text()] = std::move(handler);
+  max_apex_labels_ = std::max(max_apex_labels_, apex.label_count());
 }
 
 AuthorityAnswer SyntheticAuthority::resolve(const Question& question,
                                             SimTime now) const {
   ++queries_;
   // Longest-suffix (most specific apex) match.
-  const std::size_t labels = question.name.label_count();
+  const std::size_t labels =
+      std::min(question.name.label_count(), max_apex_labels_);
   for (std::size_t k = labels; k >= 1; --k) {
-    const std::string apex(question.name.nld_view(k));
-    if (const auto it = zones_.find(apex); it != zones_.end()) {
+    if (const auto it = zones_.find(question.name.nld_view(k));
+        it != zones_.end()) {
       AuthorityAnswer answer = it->second(question, now);
       if (answer.rcode == RCode::NXDomain) ++nxdomains_;
       return answer;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "dns/message.h"
@@ -50,7 +51,18 @@ class SyntheticAuthority {
                                   bool dnssec_signed = false);
 
  private:
-  std::unordered_map<std::string, Handler> zones_;
+  /// Heterogeneous hashing: resolve() probes with string_views of the
+  /// question name, no string per probed label level.
+  struct ApexHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view apex) const noexcept {
+      return std::hash<std::string_view>{}(apex);
+    }
+  };
+
+  std::unordered_map<std::string, Handler, ApexHash, std::equal_to<>> zones_;
+  /// Label count of the deepest registered apex: no longer suffix can match.
+  std::size_t max_apex_labels_ = 0;
   mutable std::uint64_t queries_ = 0;
   mutable std::uint64_t nxdomains_ = 0;
 };

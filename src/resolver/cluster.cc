@@ -109,31 +109,37 @@ void RdnsCluster::set_traffic_sketch(obs::TrafficSketch* sketch) {
 
 void RdnsCluster::flush_taps() {
   if (traffic_sketch_ != nullptr) traffic_sketch_->flush_pending();
-  if (tap_events_.empty()) return;
+  if (tap_live_events_ == 0) return;
   if (tap_batch_size_ != nullptr) {
-    tap_batch_size_->record(static_cast<double>(tap_events_.size()));
+    tap_batch_size_->record(static_cast<double>(tap_live_events_));
   }
-  const TapBatch batch(tap_events_, tap_answers_);
+  const TapBatch batch(
+      std::span<const TapEvent>(tap_events_.data(), tap_live_events_),
+      std::span<const ResourceRecord>(tap_answers_.data(),
+                                      tap_live_answers_));
   for (TapObserver* observer : observers_) observer->on_tap_batch(batch);
-  tap_events_.clear();
-  tap_answers_.clear();
+  tap_live_events_ = 0;
+  tap_live_answers_ = 0;
 }
 
 void RdnsCluster::buffer_tap_event(SimTime ts, TapDirection direction,
                                    std::uint64_t client_id,
                                    const Question& question, RCode rcode,
                                    std::span<const ResourceRecord> answers) {
-  TapEvent event;
+  if (tap_live_events_ == tap_events_.size()) tap_events_.emplace_back();
+  TapEvent& event = tap_events_[tap_live_events_++];
   event.ts = ts;
   event.direction = direction;
   event.client_id = client_id;
   event.rcode = rcode;
   event.question = question;
-  event.answer_offset = static_cast<std::uint32_t>(tap_answers_.size());
+  event.answer_offset = static_cast<std::uint32_t>(tap_live_answers_);
   event.answer_count = static_cast<std::uint32_t>(answers.size());
-  tap_answers_.insert(tap_answers_.end(), answers.begin(), answers.end());
-  tap_events_.push_back(std::move(event));
-  if (tap_events_.size() >= tap_batch_events_) flush_taps();
+  for (const ResourceRecord& rr : answers) {
+    if (tap_live_answers_ == tap_answers_.size()) tap_answers_.emplace_back();
+    tap_answers_[tap_live_answers_++] = rr;
+  }
+  if (tap_live_events_ >= tap_batch_events_) flush_taps();
 }
 
 std::size_t RdnsCluster::pick_server(std::uint64_t client_id) {

@@ -265,8 +265,14 @@ class RdnsCluster {
   Rng rng_;
   std::size_t round_robin_next_ = 0;
   std::vector<TapObserver*> observers_;
+  // Tap batch slots, kept across batches: an event or answer is
+  // copy-assigned into a slot, reusing that slot's name and rdata
+  // capacity.  Only the first tap_live_events_/tap_live_answers_ slots
+  // belong to the pending batch.
   std::vector<TapEvent> tap_events_;
   std::vector<ResourceRecord> tap_answers_;
+  std::size_t tap_live_events_ = 0;
+  std::size_t tap_live_answers_ = 0;
   // Owns the answers of the last uncacheable miss so QueryView can alias
   // them (reused across queries; see QueryView lifetime contract).
   std::vector<ResourceRecord> miss_answers_;

@@ -1,5 +1,7 @@
 #include "workload/label_gen.h"
 
+#include <string_view>
+
 namespace dnsnoise {
 
 void MetricsLabel::append_to(std::string& out, Rng& rng) const {
@@ -54,23 +56,23 @@ std::string human_hostname(std::size_t i) {
 }
 
 void pseudo_word_into(std::uint64_t i, std::string& out, std::size_t min_len) {
-  static constexpr const char* kSyllables[] = {
-      "ba", "be", "bi", "bo", "bu", "da", "de", "di", "do", "du",
-      "fa", "fe", "fi", "fo", "ka", "ke", "ki", "ko", "ku", "la",
-      "le", "li", "lo", "lu", "ma", "me", "mi", "mo", "mu", "na",
-      "ne", "ni", "no", "nu", "ra", "re", "ri", "ro", "ru", "sa",
-      "se", "si", "so", "su", "ta", "te", "ti", "to", "tu", "va",
-      "ve", "vi", "vo", "za", "ze", "zi", "zo", "zu", "pa", "po",
+  // 60 two-letter syllables, back to back.
+  static constexpr std::string_view kSyllables =
+      "babebibobudadedidodufafefifokakekikokulalelilolumamemimomuna"
+      "neninonurarerirorusasesisosutatetitotuvavevivozazezizozupapo";
+  static_assert(kSyllables.size() == 120);
+  constexpr std::uint64_t kBase = kSyllables.size() / 2;
+  const auto syllable = [&out](std::uint64_t k) {
+    out.append(kSyllables.substr(2 * k, 2));
   };
-  constexpr std::uint64_t kBase = std::size(kSyllables);
   const std::size_t start = out.size();
   // Base-syllable positional encoding: distinct i => distinct word.
   std::uint64_t rest = i;
   do {
-    out += kSyllables[rest % kBase];
+    syllable(rest % kBase);
     rest /= kBase;
   } while (rest != 0);
-  while (out.size() - start < min_len) out += kSyllables[(i / 7) % kBase];
+  while (out.size() - start < min_len) syllable((i / 7) % kBase);
 }
 
 std::string pseudo_word(std::uint64_t i, std::size_t min_len) {

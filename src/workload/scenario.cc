@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <span>
+#include <stdexcept>
 
 namespace dnsnoise {
 
@@ -211,15 +212,55 @@ bool GroundTruth::is_disposable_name(const DomainName& name) const {
   return false;
 }
 
+namespace {
+
+/// The traffic stream a scenario at `scale` draws.
+TrafficConfig traffic_config(ScenarioDate date, const ScenarioScale& scale) {
+  TrafficConfig config;
+  config.queries_per_day = scale.queries_per_day;
+  config.client_count = scale.client_count;
+  config.seed = scale.seed ^ (static_cast<std::uint64_t>(date) << 32) ^
+                mix64(0x7aff1c ^ scale.traffic_stream);
+  return config;
+}
+
+/// `ns`, checked to serve `scale`.
+const ScenarioNamespace& serving(
+    const std::shared_ptr<const ScenarioNamespace>& ns,
+    const ScenarioScale& scale) {
+  if (ns == nullptr || !ns->serves(scale)) {
+    throw std::invalid_argument("Scenario: namespace does not serve scale");
+  }
+  return *ns;
+}
+
+}  // namespace
+
+bool ScenarioNamespace::serves(const ScenarioScale& scale) const noexcept {
+  return scale.client_count == scale_.client_count &&
+         scale.population_scale == scale_.population_scale &&
+         scale.seed == scale_.seed &&
+         scale.disposable_traffic_multiplier ==
+             scale_.disposable_traffic_multiplier &&
+         scale.flagship_boost == scale_.flagship_boost;
+}
+
 Scenario::Scenario(ScenarioDate date, const ScenarioScale& scale)
-    : date_(date), scale_(scale) {
-  TrafficConfig traffic_config;
-  traffic_config.queries_per_day = scale.queries_per_day;
-  traffic_config.client_count = scale.client_count;
-  traffic_config.seed = scale.seed ^ (static_cast<std::uint64_t>(date) << 32) ^
-                        mix64(0x7aff1c ^ scale.traffic_stream);
-  traffic_ = std::make_unique<TrafficGenerator>(traffic_config);
-  build();
+    : Scenario(std::make_shared<const ScenarioNamespace>(date, scale), scale) {}
+
+Scenario::Scenario(std::shared_ptr<const ScenarioNamespace> ns,
+                   const ScenarioScale& scale)
+    : namespace_(std::move(ns)),
+      scale_(scale),
+      traffic_(serving(namespace_, scale)
+                   .tenants()
+                   .for_stream(traffic_config(namespace_->date(), scale))) {
+  // Registration order is the tenants' order, as when each model installed
+  // itself right before joining the traffic mix.
+  const TrafficGenerator& tenants = namespace_->tenants();
+  for (std::size_t i = 0; i < tenants.model_count(); ++i) {
+    tenants.model(i).install(authority_);
+  }
 }
 
 bool Scenario::is_google_name(const DomainName& name) {
@@ -233,8 +274,11 @@ bool Scenario::is_akamai_name(const DomainName& name) {
   return false;
 }
 
-void Scenario::build() {
-  const DateParams params = params_for(date_, scale_.disposable_traffic_multiplier);
+ScenarioNamespace::ScenarioNamespace(ScenarioDate date,
+                                     const ScenarioScale& scale)
+    : date_(date), scale_(scale), tenants_(traffic_config(date, scale)) {
+  const DateParams params =
+      params_for(date_, scale_.disposable_traffic_multiplier);
   Rng rng(scale_.seed);
 
   // --- Google: a huge popular tenant plus its disposable experiment zone.
@@ -247,8 +291,7 @@ void Scenario::build() {
     google.aaaa_fraction = 0.10;
     google.dnssec_signed = true;
     auto model = std::make_shared<PopularZoneModel>(google);
-    model->install(authority_);
-    traffic_->add_model(std::move(model), params.google_share);
+    tenants_.add_model(std::move(model), params.google_share);
   }
   if (params.disposable_share > 0.0) {
     DisposableZoneConfig exp;
@@ -274,14 +317,13 @@ void Scenario::build() {
         std::vector<std::string>{"ds", "v4"}));
     auto model = std::make_shared<DisposableZoneModel>(std::move(exp),
                                                        std::move(pattern));
-    model->install(authority_);
     truth_.disposable_zones.push_back(
         {model->name(), model->name_depth(), "experiment"});
     truth_.disposable_apexes.insert(model->name());
     const double flagship_weight = params.disposable_share *
                                    params.flagship_fraction *
                                    scale_.flagship_boost;
-    traffic_->add_model(std::move(model), flagship_weight);
+    tenants_.add_model(std::move(model), flagship_weight);
   }
 
   // --- Akamai: CDN shard zones.
@@ -292,9 +334,8 @@ void Scenario::build() {
     cdn.zipf_s = 0.95 + 0.15 * static_cast<double>(i);
     cdn.ttl = 60 + 30 * static_cast<std::uint32_t>(i);
     auto model = std::make_shared<CdnZoneModel>(cdn);
-    model->install(authority_);
-    traffic_->add_model(std::move(model),
-                        params.akamai_share / std::size(kAkamaiApexes));
+    tenants_.add_model(std::move(model),
+                       params.akamai_share / std::size(kAkamaiApexes));
   }
 
   // --- Alexa-style popular zones (the non-disposable labeled class).
@@ -317,11 +358,10 @@ void Scenario::build() {
       popular.aaaa_fraction = 0.03;
       popular.dnssec_signed = (i % 10) == 0;
       auto model = std::make_shared<PopularZoneModel>(popular);
-      model->install(authority_);
       popular_apexes_.push_back(popular.apex);
       const double weight = params.popular_share / total_weight /
                             std::pow(static_cast<double>(i + 1), 0.9);
-      traffic_->add_model(std::move(model), weight);
+      tenants_.add_model(std::move(model), weight);
     }
   }
 
@@ -333,15 +373,13 @@ void Scenario::build() {
     other.ttl = 3600;
     other.seed = scale_.seed ^ 0x517e5ULL;
     auto model = std::make_shared<OtherSitesModel>(other);
-    model->install(authority_);
-    traffic_->add_model(std::move(model), params.other_share);
+    tenants_.add_model(std::move(model), params.other_share);
   }
 
   // --- NXDOMAIN junk.
   {
     auto model = std::make_shared<NxdomainModel>(NxdomainConfig{});
-    model->install(authority_);
-    traffic_->add_model(std::move(model), params.nx_share);
+    tenants_.add_model(std::move(model), params.nx_share);
   }
 
   // --- The disposable-zone population (minus the flagship, added above).
@@ -360,13 +398,12 @@ void Scenario::build() {
           make_disposable_zone(i, scale_.seed, params.progress);
       auto model = std::make_shared<DisposableZoneModel>(
           std::move(build.config), std::move(build.pattern));
-      model->install(authority_);
       truth_.disposable_zones.push_back(
           {model->name(), model->name_depth(), build.archetype});
       truth_.disposable_apexes.insert(model->name());
       const double weight =
           bulk_share / total_weight / std::pow(static_cast<double>(i + 1), 0.5);
-      traffic_->add_model(std::move(model), weight);
+      tenants_.add_model(std::move(model), weight);
     }
   }
 }

@@ -7,6 +7,12 @@
 // dates strictly extend earlier ones: the disposable-zone master list is
 // fixed, and date t activates a growing prefix of it, so "new zones appear
 // over the year" holds by construction.
+//
+// A ScenarioNamespace is the immutable part — zone models, Zipf tables,
+// site index, ground truth — built once per (date, scale); Scenarios over
+// it add only the per-stream state (generator, recent-name rings,
+// authority counters), so a run builds the namespace once and every
+// shard's day and warm-up streams draw from it (DESIGN.md §9.1, §11.6).
 #pragma once
 
 #include <array>
@@ -86,26 +92,72 @@ struct GroundTruth {
   bool is_disposable_name(const DomainName& name) const;
 };
 
-class Scenario {
+/// The immutable part of a scenario for one (date, scale): the tenant
+/// models with their Zipf tables, the OtherSites site index, the popular
+/// host lists, the disposable zone configs, patterns and pooled rdata, and
+/// the ground truth.  Nothing in it is written after construction, so any
+/// number of Scenarios — on any threads — can draw from one instance.
+class ScenarioNamespace {
  public:
-  Scenario(ScenarioDate date, const ScenarioScale& scale = {});
+  ScenarioNamespace(ScenarioDate date, const ScenarioScale& scale);
 
   ScenarioDate date() const noexcept { return date_; }
   const ScenarioScale& scale() const noexcept { return scale_; }
+  const GroundTruth& truth() const noexcept { return truth_; }
+  const std::vector<std::string>& popular_apexes() const noexcept {
+    return popular_apexes_;
+  }
+  /// The tenants with their traffic weights, in registration order, as a
+  /// generator over scale()'s own stream.  It is never run: Scenarios draw
+  /// from TrafficGenerator::for_stream copies of it.
+  const TrafficGenerator& tenants() const noexcept { return tenants_; }
 
-  TrafficGenerator& traffic() noexcept { return *traffic_; }
+  /// True if a Scenario at `scale` may draw from this namespace: `scale`
+  /// differs from scale() at most in queries_per_day and traffic_stream.
+  bool serves(const ScenarioScale& scale) const noexcept;
+
+ private:
+  ScenarioDate date_;
+  ScenarioScale scale_;
+  TrafficGenerator tenants_;
+  GroundTruth truth_;
+  std::vector<std::string> popular_apexes_;
+};
+
+class Scenario {
+ public:
+  /// A scenario with a namespace of its own.
+  Scenario(ScenarioDate date, const ScenarioScale& scale = {});
+  /// A scenario drawing from a shared namespace; `scale` must be one the
+  /// namespace serves() (else std::invalid_argument).  Builds only the
+  /// per-stream state: the traffic generator, with fresh recent-name rings,
+  /// and an authority with its own counters whose handlers read the shared
+  /// tables.  Same draws and answers as Scenario(ns->date(), scale).
+  Scenario(std::shared_ptr<const ScenarioNamespace> ns,
+           const ScenarioScale& scale);
+
+  ScenarioDate date() const noexcept { return namespace_->date(); }
+  const ScenarioScale& scale() const noexcept { return scale_; }
+  /// The namespace this scenario draws from, for further streams over it
+  /// (warm-up days, engine shards).
+  const std::shared_ptr<const ScenarioNamespace>& shared_namespace()
+      const noexcept {
+    return namespace_;
+  }
+
+  TrafficGenerator& traffic() noexcept { return traffic_; }
   const SyntheticAuthority& authority() const noexcept { return authority_; }
   /// Mutable authority access for callers that extend the namespace before
   /// serving it (engine/serve.h authority hooks, CI smoke zones).  Zones
   /// must be registered before any cluster starts resolving — the cluster
   /// reads the authority concurrently and lock-free.
   SyntheticAuthority& authority_mut() noexcept { return authority_; }
-  const GroundTruth& truth() const noexcept { return truth_; }
+  const GroundTruth& truth() const noexcept { return namespace_->truth(); }
 
   /// Apexes of the Alexa-style popular zones (the non-disposable labeled
   /// class).
   const std::vector<std::string>& popular_apexes() const noexcept {
-    return popular_apexes_;
+    return namespace_->popular_apexes();
   }
 
   /// Tenant attribution for the per-tenant figure series (Figs. 2, 5).
@@ -113,14 +165,10 @@ class Scenario {
   static bool is_akamai_name(const DomainName& name);
 
  private:
-  ScenarioDate date_;
+  std::shared_ptr<const ScenarioNamespace> namespace_;
   ScenarioScale scale_;
   SyntheticAuthority authority_;
-  std::unique_ptr<TrafficGenerator> traffic_;
-  GroundTruth truth_;
-  std::vector<std::string> popular_apexes_;
-
-  void build();
+  TrafficGenerator traffic_;
 };
 
 }  // namespace dnsnoise

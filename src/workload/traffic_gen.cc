@@ -10,8 +10,29 @@ namespace dnsnoise {
 TrafficGenerator::TrafficGenerator(const TrafficConfig& config)
     : config_(config),
       rng_(config.seed),
-      client_activity_(std::max<std::size_t>(config.client_count, 1),
-                       config.client_zipf_s) {}
+      client_activity_(std::make_shared<const ZipfSampler>(
+          std::max<std::size_t>(config.client_count, 1),
+          config.client_zipf_s)) {}
+
+TrafficGenerator TrafficGenerator::for_stream(
+    const TrafficConfig& config) const {
+  if (config.client_count != config_.client_count ||
+      config.client_zipf_s != config_.client_zipf_s) {
+    throw std::invalid_argument(
+        "TrafficGenerator: a stream must keep the client population");
+  }
+  TrafficGenerator stream(*this);
+  stream.config_ = config;
+  stream.rng_ = Rng(config.seed);
+  for (std::shared_ptr<ZoneModel>& model : stream.models_) {
+    if (std::shared_ptr<ZoneModel> fresh = model->new_stream()) {
+      model = std::move(fresh);
+    }
+  }
+  stream.set_metrics(nullptr);
+  stream.set_trace(nullptr);
+  return stream;
+}
 
 void TrafficGenerator::add_model(std::shared_ptr<ZoneModel> model,
                                  double weight) {
@@ -25,14 +46,20 @@ void TrafficGenerator::add_model(std::shared_ptr<ZoneModel> model,
   cumulative_weights_.push_back(base + weight);
 }
 
-std::size_t TrafficGenerator::pick_model() { return pick_model(rng_); }
+void TrafficGenerator::prepare_day() {
+  if (models_.empty()) {
+    throw std::logic_error("TrafficGenerator: no models registered");
+  }
+  if (model_index_.size() != cumulative_weights_.size()) {
+    model_index_ = GuideIndex(cumulative_weights_);
+  }
+}
 
 std::size_t TrafficGenerator::pick_model(Rng& rng) const {
+  // The first model whose cumulative weight exceeds u (upper_bound).
   const double u = rng.uniform() * cumulative_weights_.back();
-  const auto it = std::upper_bound(cumulative_weights_.begin(),
-                                   cumulative_weights_.end(), u);
-  const auto idx = static_cast<std::size_t>(it - cumulative_weights_.begin());
-  return std::min(idx, models_.size() - 1);
+  return std::min(model_index_.upper_bound(cumulative_weights_, u),
+                  models_.size() - 1);
 }
 
 void TrafficGenerator::set_metrics(obs::MetricsRegistry* metrics) {
@@ -68,9 +95,7 @@ std::uint64_t TrafficGenerator::client_id_for_rank(
 }
 
 void TrafficGenerator::run_day(std::int64_t day, const QuerySink& sink) {
-  if (models_.empty()) {
-    throw std::logic_error("TrafficGenerator: no models registered");
-  }
+  prepare_day();
   if (days_generated_ != nullptr) days_generated_->add();
   obs::TraceSpan day_span(trace_stream_, trace_, obs::TraceOp::kWorkloadDay);
   day_span.annotate({}, 0, obs::TraceOutcome::kNone,
@@ -94,11 +119,11 @@ void TrafficGenerator::run_day(std::int64_t day, const QuerySink& sink) {
           static_cast<SimTime>((static_cast<double>(i) + rng_.uniform()) *
                                spacing);
       const std::uint64_t client =
-          client_id_for_rank(client_activity_.sample(rng_));
+          client_id_for_rank(client_activity_->sample(rng_));
       const bool traced =
           trace_stream_ != nullptr && trace_sampler_.sample();
       const std::uint64_t sample_start = traced ? trace_->now_ns() : 0;
-      models_[pick_model()]->sample_query_into(query, rng_);
+      models_[pick_model(rng_)]->sample_query_into(query, rng_);
       if (traced) {
         trace_stream_->span(obs::TraceOp::kWorkloadSample, sample_start,
                             trace_->now_ns() - sample_start, query.qname,
@@ -112,9 +137,7 @@ void TrafficGenerator::run_day(std::int64_t day, const QuerySink& sink) {
 
 void TrafficGenerator::run_day_shard(std::int64_t day, const ShardSpec& shard,
                                      const QuerySink& sink) {
-  if (models_.empty()) {
-    throw std::logic_error("TrafficGenerator: no models registered");
-  }
+  prepare_day();
   if (shard.count == 0 || shard.index >= shard.count) {
     throw std::invalid_argument("TrafficGenerator: bad shard spec");
   }
@@ -144,7 +167,7 @@ void TrafficGenerator::run_day_shard(std::int64_t day, const ShardSpec& shard,
           static_cast<SimTime>((static_cast<double>(i) + q.uniform()) *
                                spacing);
       const std::uint64_t client =
-          client_id_for_rank(client_activity_.sample(q));
+          client_id_for_rank(client_activity_->sample(q));
       // Shard filter after the client draw: skipped slots cost one fork and
       // one Zipf sample, never a zone-model mutation.
       if (shard_of(client, shard.count) != shard.index) {

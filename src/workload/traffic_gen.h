@@ -37,6 +37,14 @@ class TrafficGenerator {
  public:
   explicit TrafficGenerator(const TrafficConfig& config);
 
+  /// A generator drawing another stream over the same tenants and client
+  /// population.  `config` may differ from this generator's only in
+  /// queries_per_day, diurnal and seed (else std::invalid_argument).  The
+  /// client table and every stateless tenant are shared; a tenant with
+  /// per-stream state is replaced by its ZoneModel::new_stream().  Metrics
+  /// and tracing start detached.
+  TrafficGenerator for_stream(const TrafficConfig& config) const;
+
   /// Adds a tenant with a relative traffic weight (> 0).
   void add_model(std::shared_ptr<ZoneModel> model, double weight);
 
@@ -86,9 +94,12 @@ class TrafficGenerator {
  private:
   TrafficConfig config_;
   Rng rng_;
-  ZipfSampler client_activity_;
+  std::shared_ptr<const ZipfSampler> client_activity_;
   std::vector<std::shared_ptr<ZoneModel>> models_;
   std::vector<double> cumulative_weights_;
+  /// Guide over cumulative_weights_, rebuilt before a day when models
+  /// were added since.
+  GuideIndex model_index_;
   obs::Counter* queries_generated_ = nullptr;
   obs::Counter* shard_slots_skipped_ = nullptr;
   obs::Counter* days_generated_ = nullptr;
@@ -96,7 +107,8 @@ class TrafficGenerator {
   obs::TraceStream* trace_stream_ = nullptr;
   obs::TraceSampler trace_sampler_;
 
-  std::size_t pick_model();
+  /// Checks there is a model and brings model_index_ up to date.
+  void prepare_day();
   std::size_t pick_model(Rng& rng) const;
 };
 

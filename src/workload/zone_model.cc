@@ -1,6 +1,9 @@
 #include "workload/zone_model.h"
 
 #include <algorithm>
+#include <functional>
+#include <stdexcept>
+#include <string_view>
 
 namespace dnsnoise {
 
@@ -18,8 +21,15 @@ std::string pooled_rdata(const std::string& apex, std::size_t idx,
 }
 
 std::size_t pool_index(std::string_view qname, std::size_t pool) {
-  return pool == 0 ? 0
-                   : static_cast<std::size_t>(mix64(fnv1a64(qname)) % pool);
+  return static_cast<std::size_t>(mix64(fnv1a64(qname)) % pool);
+}
+
+/// Appends the 2LD of OtherSites site `i`.
+void append_site_domain(const OtherSitesConfig& config, std::size_t i,
+                        std::string& out) {
+  pseudo_word_into(mix64(config.seed ^ i) % (1u << 30), out);
+  out.push_back('.');
+  out += config.tlds[i % config.tlds.size()];
 }
 
 }  // namespace
@@ -27,16 +37,48 @@ std::size_t pool_index(std::string_view qname, std::size_t pool) {
 // --------------------------------------------------------------------------
 // DisposableZoneModel
 
+struct DisposableZoneModel::Zone {
+  DisposableZoneConfig config;
+  NamePattern pattern;
+  DomainName apex_name;
+  /// The pooled A rdata, rendered once; AAAA answers render theirs per
+  /// answer.
+  std::vector<std::string> pooled_a;
+};
+
 DisposableZoneModel::DisposableZoneModel(DisposableZoneConfig config,
-                                         NamePattern pattern)
-    : config_(std::move(config)),
-      pattern_(std::move(pattern)),
-      apex_name_(config_.apex) {
-  recent_.reserve(config_.recent_window);
+                                         NamePattern pattern) {
+  if (config.rdata_pool == 0) {
+    throw std::invalid_argument("DisposableZoneModel: rdata_pool must be > 0");
+  }
+  auto zone = std::make_shared<Zone>();
+  zone->apex_name = DomainName(config.apex);
+  zone->pooled_a.reserve(config.rdata_pool);
+  for (std::size_t i = 0; i < config.rdata_pool; ++i) {
+    zone->pooled_a.push_back(pooled_rdata(config.apex, i, RRType::A));
+  }
+  zone->config = std::move(config);
+  zone->pattern = std::move(pattern);
+  zone_ = std::move(zone);
+}
+
+DisposableZoneModel::DisposableZoneModel(std::shared_ptr<const Zone> zone)
+    : zone_(std::move(zone)) {}
+
+std::shared_ptr<ZoneModel> DisposableZoneModel::new_stream() const {
+  return std::shared_ptr<ZoneModel>(new DisposableZoneModel(zone_));
+}
+
+const std::string& DisposableZoneModel::name() const noexcept {
+  return zone_->config.apex;
+}
+
+const DisposableZoneConfig& DisposableZoneModel::config() const noexcept {
+  return zone_->config;
 }
 
 std::size_t DisposableZoneModel::name_depth() const noexcept {
-  return apex_name_.label_count() + pattern_.depth();
+  return zone_->apex_name.label_count() + zone_->pattern.depth();
 }
 
 QuerySpec DisposableZoneModel::sample_query(Rng& rng) {
@@ -46,52 +88,57 @@ QuerySpec DisposableZoneModel::sample_query(Rng& rng) {
 }
 
 void DisposableZoneModel::sample_query_into(QuerySpec& out, Rng& rng) {
-  out.qtype = config_.qtype;
+  const DisposableZoneConfig& config = zone_->config;
+  out.qtype = config.qtype;
   // Occasionally the generating software re-emits a recent name — the
   // paper notes disposable names are "not strictly looked up once".
-  if (!recent_.empty() && rng.chance(config_.repeat_probability)) {
+  if (!recent_.empty() && rng.chance(config.repeat_probability)) {
     out.qname = recent_[rng.below(recent_.size())];
     return;
   }
   out.qname.clear();
-  pattern_.generate_into(out.qname, rng);
+  zone_->pattern.generate_into(out.qname, rng);
   out.qname.push_back('.');
-  out.qname += config_.apex;
-  if (config_.recent_window > 0) {
-    if (recent_.size() < config_.recent_window) {
+  out.qname += config.apex;
+  if (config.recent_window > 0) {
+    if (recent_.size() < config.recent_window) {
       recent_.push_back(out.qname);
     } else {
       recent_[recent_next_] = out.qname;  // copy-assign reuses ring capacity
-      recent_next_ = (recent_next_ + 1) % config_.recent_window;
+      recent_next_ = (recent_next_ + 1) % config.recent_window;
     }
   }
 }
 
 void DisposableZoneModel::install(SyntheticAuthority& authority) const {
-  const DisposableZoneConfig cfg = config_;
-  authority.register_zone(apex_name_, [cfg](const Question& q, SimTime) {
-    AuthorityAnswer answer;
-    answer.rcode = RCode::NoError;
-    answer.disposable_zone = true;
-    answer.dnssec_signed = cfg.dnssec_signed;
-    const std::size_t idx = pool_index(q.name.text(), cfg.rdata_pool);
-    // A round-robin set: rr_per_answer distinct records from the rdata
-    // pool.  Pooled rdata keeps zone-level rdata cardinality low (the
-    // property §VI-C's wildcard folding exploits) while every record is
-    // still a distinct (name, rdata) RR because the name is one-time.
-    const std::size_t records =
-        std::max<std::size_t>(1, std::min(cfg.rr_per_answer, cfg.rdata_pool));
-    const RRType type = q.type == RRType::AAAA ? RRType::AAAA : RRType::A;
-    for (std::size_t j = 0; j < records; ++j) {
-      ResourceRecord rr;
-      rr.name = q.name;
-      rr.type = type;
-      rr.ttl = cfg.ttl;
-      rr.rdata = pooled_rdata(cfg.apex, (idx + j) % cfg.rdata_pool, type);
-      answer.answers.push_back(std::move(rr));
-    }
-    return answer;
-  });
+  authority.register_zone(
+      zone_->apex_name, [zone = zone_](const Question& q, SimTime) {
+        const DisposableZoneConfig& cfg = zone->config;
+        AuthorityAnswer answer;
+        answer.rcode = RCode::NoError;
+        answer.disposable_zone = true;
+        answer.dnssec_signed = cfg.dnssec_signed;
+        const std::size_t idx = pool_index(q.name.text(), cfg.rdata_pool);
+        // A round-robin set: rr_per_answer distinct records from the rdata
+        // pool.  Pooled rdata keeps zone-level rdata cardinality low (the
+        // property §VI-C's wildcard folding exploits) while every record
+        // is still a distinct (name, rdata) RR because the name is
+        // one-time.
+        const std::size_t records = std::max<std::size_t>(
+            1, std::min(cfg.rr_per_answer, cfg.rdata_pool));
+        const RRType type = q.type == RRType::AAAA ? RRType::AAAA : RRType::A;
+        answer.answers.resize(records);
+        for (std::size_t j = 0; j < records; ++j) {
+          ResourceRecord& rr = answer.answers[j];
+          rr.name = q.name;
+          rr.type = type;
+          rr.ttl = cfg.ttl;
+          const std::size_t slot = (idx + j) % cfg.rdata_pool;
+          rr.rdata = type == RRType::A ? zone->pooled_a[slot]
+                                       : pooled_rdata(cfg.apex, slot, type);
+        }
+        return answer;
+      });
 }
 
 // --------------------------------------------------------------------------
@@ -158,26 +205,73 @@ void CdnZoneModel::install(SyntheticAuthority& authority) const {
 // --------------------------------------------------------------------------
 // OtherSitesModel
 
+/// The site population as a flat open-addressed set: every site domain's
+/// bytes in one buffer, and a power-of-two slot table whose slots hold the
+/// domain's hash tag and site number.  Built once; read-only afterwards.
+class OtherSitesModel::SiteIndex {
+ public:
+  /// Indexes sites [0, config.sites); with no sites, site 0's domain is
+  /// still rendered (the sampler's single rank) but never resolves.
+  explicit SiteIndex(const OtherSitesConfig& config) {
+    const std::size_t sites = config.sites;
+    std::size_t capacity = 16;
+    while (capacity < sites + sites / 2) capacity *= 2;  // load <= 2/3
+    slots_.assign(capacity, 0);
+    const std::size_t names = std::max<std::size_t>(sites, 1);
+    ends_.reserve(names);
+    bytes_.reserve(names * 16);
+    for (std::size_t i = 0; i < names; ++i) {
+      append_site_domain(config, i, bytes_);
+      ends_.push_back(static_cast<std::uint32_t>(bytes_.size()));
+      if (i == sites) break;  // the unindexed site 0 of an empty population
+      const std::uint64_t hash = hash_of(site(i));
+      std::size_t slot = hash & (capacity - 1);
+      while (slots_[slot] != 0) slot = (slot + 1) & (capacity - 1);
+      slots_[slot] = (hash & kTagMask) | (i + 1);
+    }
+  }
+
+  /// Domain of site `i`.
+  std::string_view site(std::size_t i) const noexcept {
+    const std::size_t begin = i == 0 ? 0 : ends_[i - 1];
+    return std::string_view(bytes_).substr(begin, ends_[i] - begin);
+  }
+
+  bool contains(std::string_view domain) const noexcept {
+    const std::uint64_t hash = hash_of(domain);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t slot = hash & mask; slots_[slot] != 0;
+         slot = (slot + 1) & mask) {
+      const std::uint64_t entry = slots_[slot];
+      if ((entry & kTagMask) == (hash & kTagMask) &&
+          site((entry & ~kTagMask) - 1) == domain) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  /// A slot is (hash high 32 bits | site + 1); 0 marks an empty slot.
+  static constexpr std::uint64_t kTagMask = 0xffffffff00000000ULL;
+
+  static std::uint64_t hash_of(std::string_view domain) noexcept {
+    return std::hash<std::string_view>{}(domain);
+  }
+
+  std::string bytes_;
+  std::vector<std::uint32_t> ends_;  // site i ends at ends_[i]
+  std::vector<std::uint64_t> slots_;
+};
+
 OtherSitesModel::OtherSitesModel(OtherSitesConfig config)
     : config_(std::move(config)),
       popularity_(std::max<std::size_t>(config_.sites, 1), config_.zipf_s),
-      site_set_(std::make_shared<SiteSet>()) {
-  site_set_->reserve(config_.sites);
-  for (std::size_t i = 0; i < config_.sites; ++i) {
-    site_set_->insert(site_domain(i));
-  }
-}
-
-void OtherSitesModel::append_site_domain(std::size_t i,
-                                         std::string& out) const {
-  pseudo_word_into(mix64(config_.seed ^ i) % (1u << 30), out);
-  out.push_back('.');
-  out += config_.tlds[i % config_.tlds.size()];
-}
+      sites_(std::make_shared<const SiteIndex>(config_)) {}
 
 std::string OtherSitesModel::site_domain(std::size_t i) const {
   std::string out;
-  append_site_domain(i, out);
+  append_site_domain(config_, i, out);
   return out;
 }
 
@@ -201,17 +295,17 @@ void OtherSitesModel::sample_query_into(QuerySpec& out, Rng& rng) {
     human_hostname_into(host, out.qname);
     out.qname.push_back('.');
   }
-  append_site_domain(site, out.qname);
+  out.qname += sites_->site(site);
 }
 
 void OtherSitesModel::install(SyntheticAuthority& authority) const {
   for (const std::string& tld : config_.tlds) {
     const DomainName tld_name(tld);
     const std::size_t site_labels = tld_name.label_count() + 1;
-    auto sites = site_set_;
     const std::uint32_t ttl = config_.ttl;
     authority.register_zone(
-        tld_name, [sites, site_labels, ttl](const Question& q, SimTime) {
+        tld_name, [sites = sites_, site_labels, ttl](const Question& q,
+                                                     SimTime) {
           AuthorityAnswer answer;  // defaults to NXDOMAIN
           if (q.name.label_count() < site_labels) return answer;
           if (!sites->contains(q.name.nld_view(site_labels))) return answer;

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "dns/name.h"
@@ -35,25 +34,6 @@ struct QuerySpec {
   std::string qname;
   RRType qtype = RRType::A;
 };
-
-namespace detail {
-
-/// Heterogeneous string hashing/equality so name sets can be probed with
-/// string_views (no per-lookup std::string materialization).
-struct TransparentStringHash {
-  using is_transparent = void;
-  std::size_t operator()(std::string_view s) const noexcept {
-    return static_cast<std::size_t>(fnv1a64(s));
-  }
-};
-struct TransparentStringEq {
-  using is_transparent = void;
-  bool operator()(std::string_view a, std::string_view b) const noexcept {
-    return a == b;
-  }
-};
-
-}  // namespace detail
 
 /// Interface: a tenant of the synthetic namespace.
 class ZoneModel {
@@ -78,6 +58,13 @@ class ZoneModel {
 
   /// Registers this tenant's zones with the authority.
   virtual void install(SyntheticAuthority& authority) const = 0;
+
+  /// The model for a new query stream over the same namespace.  A model
+  /// whose sampling keeps per-stream state returns a fresh instance that
+  /// shares its immutable tables; the default, null, says the model keeps
+  /// no such state: sample_query_into writes nothing in it, so one
+  /// instance serves any number of streams, also from several threads.
+  virtual std::shared_ptr<ZoneModel> new_stream() const { return nullptr; }
 };
 
 // ---------------------------------------------------------------------------
@@ -97,25 +84,33 @@ struct DisposableZoneConfig {
   bool dnssec_signed = false;
 };
 
-/// A zone whose children are generated in bulk by a NamePattern.
+/// A zone whose children are generated in bulk by a NamePattern.  The
+/// zone itself (config, pattern, pooled rdata) is immutable and shared by
+/// every stream's instance; only the ring of recent names is per stream.
 class DisposableZoneModel final : public ZoneModel {
  public:
+  /// Throws std::invalid_argument when config.rdata_pool is 0: every
+  /// answer draws its records from the pool.
   DisposableZoneModel(DisposableZoneConfig config, NamePattern pattern);
 
-  const std::string& name() const noexcept override { return config_.apex; }
+  const std::string& name() const noexcept override;
   bool disposable() const noexcept override { return true; }
   QuerySpec sample_query(Rng& rng) override;
   void sample_query_into(QuerySpec& out, Rng& rng) override;
   void install(SyntheticAuthority& authority) const override;
+  /// A fresh recent-name ring over the same zone.
+  std::shared_ptr<ZoneModel> new_stream() const override;
 
-  const DisposableZoneConfig& config() const noexcept { return config_; }
+  const DisposableZoneConfig& config() const noexcept;
   /// Label depth of generated names (apex labels + pattern depth).
   std::size_t name_depth() const noexcept;
 
  private:
-  DisposableZoneConfig config_;
-  NamePattern pattern_;
-  DomainName apex_name_;
+  struct Zone;
+
+  explicit DisposableZoneModel(std::shared_ptr<const Zone> zone);
+
+  std::shared_ptr<const Zone> zone_;
   std::vector<std::string> recent_;
   std::size_t recent_next_ = 0;
 };
@@ -202,17 +197,13 @@ class OtherSitesModel final : public ZoneModel {
   std::string site_domain(std::size_t i) const;
 
  private:
-  using SiteSet =
-      std::unordered_set<std::string, detail::TransparentStringHash,
-                         detail::TransparentStringEq>;
-
-  /// Appends site_domain(i) without allocating.
-  void append_site_domain(std::size_t i, std::string& out) const;
+  /// The site domains, flat and open-addressed (zone_model.cc).
+  class SiteIndex;
 
   OtherSitesConfig config_;
   std::string label_ = "other-sites";
   ZipfSampler popularity_;
-  std::shared_ptr<SiteSet> site_set_;
+  std::shared_ptr<const SiteIndex> sites_;
 };
 
 // ---------------------------------------------------------------------------

@@ -72,6 +72,40 @@ TEST(AuthorityTest, LongestSuffixWins) {
             RCode::NXDomain);
 }
 
+TEST(AuthorityTest, MostSpecificOfNestedLongApexesWins) {
+  // Apexes and names past the 15-byte inline string buffer, nested three
+  // deep under a TLD handler that answers NXDOMAIN.
+  SyntheticAuthority authority;
+  authority.register_zone(DomainName("com"), [](const Question&, SimTime) {
+    return AuthorityAnswer{};
+  });
+  const char* apexes[] = {
+      "vendor-long-name.com",
+      "device.trans.manage.vendor-long-name.com",
+      "exp.l.device.trans.manage.vendor-long-name.com",
+  };
+  for (std::uint32_t ttl = 1; ttl <= 3; ++ttl) {
+    authority.register_zone(DomainName(apexes[ttl - 1]),
+                            SyntheticAuthority::make_flat_a_zone(ttl));
+  }
+  const auto ttl_of = [&](const char* name) -> std::uint32_t {
+    const AuthorityAnswer answer = authority.resolve(question(name), 0);
+    return answer.rcode == RCode::NoError ? answer.answers.at(0).ttl : 0;
+  };
+  EXPECT_EQ(ttl_of("a1b2c3d4e5f6a7b8.exp.l.device.trans.manage."
+                   "vendor-long-name.com"),
+            3u);
+  EXPECT_EQ(ttl_of("exp.l.device.trans.manage.vendor-long-name.com"), 3u);
+  EXPECT_EQ(ttl_of("l.device.trans.manage.vendor-long-name.com"), 2u);
+  EXPECT_EQ(ttl_of("load-0-0-p-12.device.trans.manage.vendor-long-name.com"),
+            2u);
+  EXPECT_EQ(ttl_of("www.vendor-long-name.com"), 1u);
+  EXPECT_EQ(ttl_of("unrelated-long-site-name.com"), 0u);   // TLD handler
+  EXPECT_EQ(ttl_of("nothing-registered-here.example.org"), 0u);
+  EXPECT_EQ(authority.queries(), 7u);
+  EXPECT_EQ(authority.nxdomains(), 2u);
+}
+
 TEST(AuthorityTest, ReRegistrationReplacesHandler) {
   SyntheticAuthority authority;
   authority.register_zone(DomainName("z.com"),

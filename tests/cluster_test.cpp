@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace dnsnoise {
@@ -160,6 +163,107 @@ TEST(ClusterTest, TapBatchesFlushAtConfiguredSizeAndPreserveOrder) {
       TapDirection::kAbove, TapDirection::kBelow, TapDirection::kBelow,
       TapDirection::kBelow};
   EXPECT_EQ(directions, expected);
+}
+
+/// A deep copy of one delivered tap event.
+struct SeenEvent {
+  SimTime ts;
+  TapDirection direction;
+  std::uint64_t client_id;
+  RCode rcode;
+  std::string qname;
+  std::vector<std::string> labels;
+  std::vector<ResourceRecord> answers;
+
+  friend bool operator==(const SeenEvent&, const SeenEvent&) = default;
+};
+
+/// Feeds a fixed query mix — long names with 4 answers, short names with
+/// one, NXDOMAINs, cache hits — with a few explicit flushes, and returns
+/// every delivered event plus the batch sizes.
+std::pair<std::vector<SeenEvent>, std::vector<std::size_t>> tap_stream(
+    std::size_t batch_events) {
+  SyntheticAuthority authority;
+  authority.register_zone(
+      DomainName("a-rather-long-apex-for-tap-slots.example"),
+      [](const Question& q, SimTime) {
+        AuthorityAnswer answer;
+        answer.rcode = RCode::NoError;
+        for (int i = 0; i < 4; ++i) {
+          answer.answers.push_back({q.name, RRType::A, 300,
+                                    "10.20.30." + std::to_string(40 + i)});
+        }
+        return answer;
+      });
+  authority.register_zone(DomainName("s.io"),
+                          SyntheticAuthority::make_flat_a_zone(300));
+  ClusterConfig config;
+  config.server_count = 1;
+  if (batch_events != 0) config.tap_batch_events = batch_events;
+  RdnsCluster cluster(config, authority);
+
+  std::vector<SeenEvent> seen;
+  std::vector<std::size_t> sizes;
+  FunctionTapObserver observer([&](const TapBatch& batch) {
+    sizes.push_back(batch.size());
+    for (const TapEvent& event : batch) {
+      const std::span<const ResourceRecord> answers = batch.answers(event);
+      std::vector<std::string> labels;
+      for (const std::string_view label : event.question.name.label_range()) {
+        labels.emplace_back(label);
+      }
+      seen.push_back({event.ts, event.direction, event.client_id, event.rcode,
+                      event.question.name.text(), std::move(labels),
+                      std::vector<ResourceRecord>(answers.begin(),
+                                                  answers.end())});
+    }
+  });
+  cluster.add_tap_observer(&observer);
+  const char* names[] = {
+      "first-long-label-0123456789.a-rather-long-apex-for-tap-slots.example",
+      "x.s.io",
+      "nope.invalid",
+      "second-long-label.a-rather-long-apex-for-tap-slots.example",
+      "x.s.io",  // hit
+      "y.s.io",
+      "first-long-label-0123456789.a-rather-long-apex-for-tap-slots.example",
+  };
+  SimTime ts = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (const char* name : names) {
+      cluster.query(static_cast<std::uint64_t>(round + 1), question(name),
+                    ts++);
+      if (ts % 5 == 0) cluster.flush_taps();
+    }
+  }
+  cluster.flush_taps();
+  cluster.remove_tap_observer(&observer);
+  return {seen, sizes};
+}
+
+TEST(ClusterTest, ReusedTapSlotsCarryNoStaleNamesOrAnswers) {
+  const auto [one, one_sizes] = tap_stream(1);
+  for (const std::size_t size : one_sizes) EXPECT_EQ(size, 1u);
+  // The long 4-answer miss, then the short 1-answer miss in the same slot.
+  ASSERT_GE(one.size(), 4u);
+  EXPECT_EQ(one[0].direction, TapDirection::kAbove);
+  EXPECT_EQ(one[0].answers.size(), 4u);
+  EXPECT_EQ(one[2].qname, "x.s.io");
+  EXPECT_EQ(one[2].labels, (std::vector<std::string>{"x", "s", "io"}));
+  ASSERT_EQ(one[2].answers.size(), 1u);
+  EXPECT_EQ(one[2].answers[0].name.text(), "x.s.io");
+  EXPECT_EQ(one[2].answers[0].name.label_count(), 3u);
+  EXPECT_EQ(one[3].answers.size(), 1u);
+  // NXDOMAIN events carry no answers.
+  EXPECT_EQ(one[4].rcode, RCode::NXDomain);
+  EXPECT_TRUE(one[4].answers.empty());
+
+  // The event stream does not depend on the batch size.
+  for (const std::size_t batch : {std::size_t{3}, std::size_t{0}}) {
+    const auto [events, sizes] = tap_stream(batch);
+    EXPECT_EQ(events, one) << "tap_batch_events " << batch;
+    EXPECT_GT(sizes.size(), 3u);  // several flushes
+  }
 }
 
 TEST(ClusterTest, RemovingObserverFlushesPendingEvents) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace dnsnoise {
 namespace {
 
@@ -125,6 +128,79 @@ TEST(DayCaptureTest, AttachWiresClusterSinks) {
   EXPECT_EQ(capture.above_series().sum_total(), 1u);
   EXPECT_EQ(capture.unique_resolved(), 1u);
   capture.detach(cluster);  // capture dies before the cluster does
+}
+
+/// Tree nodes in sorted (label-order) traversal with their colors.
+std::vector<std::string> sorted_traversal(const DomainNameTree& tree) {
+  std::vector<std::string> out;
+  const auto walk = [&out](auto&& self, const DomainNameTree::Node& node)
+      -> void {
+    out.push_back(DomainNameTree::full_name(node) + (node.black ? "|b" : "|w") +
+                  (node.resolved ? "r" : "-"));
+    for (const DomainNameTree::Node* child : node.children()) {
+      self(self, *child);
+    }
+  };
+  walk(walk, tree.root());
+  return out;
+}
+
+std::vector<std::string> creation_order(const DomainNameTree& tree) {
+  std::vector<std::string> out;
+  tree.for_each_node([&out](const DomainNameTree::Node& node) {
+    out.push_back(DomainNameTree::full_name(node));
+  });
+  return out;
+}
+
+TEST(DayCaptureTest, TreeMatchesInsertingEveryAnswerRecord) {
+  struct Event {
+    const char* qname;
+    RCode rcode;
+    std::vector<const char*> owners;
+  };
+  const std::vector<Event> events = {
+      // Multi-RR answer owned by the qname, then repeated queries.
+      {"a.example.com", RCode::NoError,
+       {"a.example.com", "a.example.com", "a.example.com"}},
+      {"a.example.com", RCode::NoError, {"a.example.com"}},
+      // NXDOMAIN first, answered later.
+      {"late.example.com", RCode::NXDomain, {}},
+      {"late.example.com", RCode::NoError, {"late.example.com"}},
+      // Owners other than the qname (a CNAME-style chain, a bare target).
+      {"alias.example.net", RCode::NoError,
+       {"alias.example.net", "target.cdn.example.org"}},
+      {"other.example.net", RCode::NoError, {"target.cdn.example.org"}},
+      // An answer owned by a different queried name.
+      {"b.example.com", RCode::NoError, {"a.example.com", "b.example.com"}},
+      {"a.example.com", RCode::NoError, {"a.example.com", "a.example.com"}},
+      {"late.example.com", RCode::NoError, {"late.example.com"}},
+  };
+  DayCapture capture;
+  DomainNameTree reference;
+  SimTime ts = 0;
+  for (const Event& event : events) {
+    std::vector<ResourceRecord> answers;
+    std::uint32_t octet = 1;
+    for (const char* owner : event.owners) {
+      answers.push_back({DomainName(owner), RRType::A, 60,
+                         "10.0.0." + std::to_string(octet++)});
+      reference.insert(answers.back().name);
+    }
+    capture.on_below(ts++, 1, question(event.qname), event.rcode, answers);
+  }
+  EXPECT_EQ(sorted_traversal(capture.tree()), sorted_traversal(reference));
+  EXPECT_EQ(creation_order(capture.tree()), creation_order(reference));
+  EXPECT_EQ(capture.unique_resolved(), reference.resolved_count());
+  EXPECT_EQ(capture.unique_resolved(), 5u);
+  EXPECT_EQ(capture.unique_queried(), 5u);
+
+  // start_day forgets which names are in the (now empty) tree.
+  capture.start_day(1);
+  capture.on_below(0, 1, question("a.example.com"), RCode::NoError,
+                   answer_rrs("a.example.com", 60));
+  EXPECT_EQ(capture.unique_resolved(), 1u);
+  EXPECT_EQ(capture.tree().black_count(), 1u);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "util/rng.h"
 
 namespace dnsnoise {
@@ -103,6 +106,35 @@ TEST_P(Ipv6RoundTripTest, FormatParseIsIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Ipv6RoundTripTest,
                          ::testing::Values(1, 7, 42, 1234));
+
+TEST(IpFormatTest, PinnedTextForms) {
+  EXPECT_EQ(format_ipv4(Ipv4::from_octets(0, 0, 0, 0)), "0.0.0.0");
+  EXPECT_EQ(format_ipv4(Ipv4::from_octets(255, 255, 255, 255)),
+            "255.255.255.255");
+  EXPECT_EQ(format_ipv4(Ipv4::from_octets(10, 0, 9, 100)), "10.0.9.100");
+  const auto v6 = [](std::array<std::uint16_t, 8> groups) {
+    Ipv6 ip;
+    for (std::size_t i = 0; i < 8; ++i) {
+      ip.bytes[2 * i] = static_cast<std::uint8_t>(groups[i] >> 8);
+      ip.bytes[2 * i + 1] = static_cast<std::uint8_t>(groups[i]);
+    }
+    return format_ipv6(ip);
+  };
+  EXPECT_EQ(v6({0, 0, 0, 0, 0, 0, 0, 0}), "::");
+  EXPECT_EQ(v6({0, 0, 0, 0, 0, 0, 0, 1}), "::1");
+  EXPECT_EQ(v6({1, 0, 0, 0, 0, 0, 0, 0}), "1::");
+  EXPECT_EQ(v6({0x2001, 0xdb8, 0, 0, 0, 0, 0, 1}), "2001:db8::1");
+  // Two zero runs: the longer one compresses, the shorter stays spelled.
+  EXPECT_EQ(v6({0x2001, 0, 0, 0xabcd, 0, 0, 0, 0xffff}),
+            "2001:0:0:abcd::ffff");
+  // Equal runs: the first compresses.
+  EXPECT_EQ(v6({1, 0, 0, 2, 3, 0, 0, 4}), "1::2:3:0:0:4");
+  // A single zero group is never compressed.
+  EXPECT_EQ(v6({0x2001, 0xdb8, 0, 1, 2, 3, 4, 5}), "2001:db8:0:1:2:3:4:5");
+  EXPECT_EQ(v6({0xffff, 0xffff, 0xffff, 0xffff, 0xffff, 0xffff, 0xffff,
+                0xffff}),
+            "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff");
+}
 
 }  // namespace
 }  // namespace dnsnoise

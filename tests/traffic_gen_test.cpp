@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
+
+#include "workload/scenario.h"
 
 namespace dnsnoise {
 namespace {
@@ -121,6 +127,128 @@ TEST(TrafficGenTest, ClientActivityIsSkewed) {
   }
   const double mean = 24'000.0 / static_cast<double>(per_client.size());
   EXPECT_GT(static_cast<double>(max_count), mean * 3);
+}
+
+TEST(TrafficGenTest, PickModelEqualsUpperBoundOverCumulativeWeights) {
+  // A scenario-shaped tenant mix: heavy tenants, Zipf-weighted zones and a
+  // run of equal weights whose sums accumulate rounding.
+  std::vector<double> weights = {0.3, 0.14, 0.035, 0.035, 0.035, 0.035};
+  for (std::size_t i = 0; i < 400; ++i) {
+    weights.push_back(0.22 / std::pow(static_cast<double>(i + 1), 0.9));
+  }
+  for (std::size_t i = 0; i < 300; ++i) weights.push_back(0.001);
+  for (std::size_t i = 0; i < 500; ++i) {
+    weights.push_back(0.04 / std::sqrt(static_cast<double>(i + 1)));
+  }
+  TrafficGenerator gen(small_config());
+  std::vector<double> cumulative;
+  const auto add = [&](double weight) {
+    const std::string name = "m" + std::to_string(cumulative.size());
+    gen.add_model(std::make_shared<CountingModel>(name), weight);
+    cumulative.push_back((cumulative.empty() ? 0.0 : cumulative.back()) +
+                         weight);
+  };
+  for (const double w : weights) add(w);
+
+  // run_day draws, per query: the timestamp jitter, one uniform for the
+  // client rank, one for the model; CountingModel draws nothing.
+  Rng replay(small_config().seed);
+  const auto check_day = [&](std::int64_t day) {
+    std::uint64_t queries = 0;
+    gen.run_day(day, [&](SimTime, std::uint64_t, const QuerySpec& q) {
+      replay.uniform();
+      replay.uniform();
+      const double u = replay.uniform() * cumulative.back();
+      const std::size_t expected = std::min<std::size_t>(
+          static_cast<std::size_t>(
+              std::upper_bound(cumulative.begin(), cumulative.end(), u) -
+              cumulative.begin()),
+          cumulative.size() - 1);
+      ASSERT_EQ(q.qname, "host.m" + std::to_string(expected))
+          << "query " << queries;
+      ++queries;
+    });
+    EXPECT_GT(queries, 0u);
+  };
+  check_day(0);
+  // A model added after a day re-indexes the mix before the next one.
+  add(0.5);
+  check_day(1);
+}
+
+/// One generated query plus the authority's answer to it.
+struct StreamEntry {
+  SimTime ts;
+  std::uint64_t client;
+  std::string qname;
+  RRType qtype;
+  RCode rcode;
+  std::vector<ResourceRecord> answers;
+  bool dnssec_signed;
+  bool disposable_zone;
+
+  friend bool operator==(const StreamEntry&, const StreamEntry&) = default;
+};
+
+std::vector<StreamEntry> shard_stream(Scenario& scenario, std::int64_t day,
+                                      std::size_t shard) {
+  std::vector<StreamEntry> out;
+  scenario.traffic().run_day_shard(
+      day, {4, shard},
+      [&](SimTime ts, std::uint64_t client, const QuerySpec& query) {
+        const AuthorityAnswer answer = scenario.authority().resolve(
+            Question{DomainName(query.qname), query.qtype}, ts);
+        out.push_back({ts, client, query.qname, query.qtype, answer.rcode,
+                       answer.answers, answer.dnssec_signed,
+                       answer.disposable_zone});
+      });
+  return out;
+}
+
+TEST(ScenarioStreamTest, SharedNamespaceShardsMatchStandAloneScenarios) {
+  ScenarioScale day_scale;
+  day_scale.queries_per_day = 16'000;
+  day_scale.client_count = 2'000;
+  day_scale.population_scale = 0.25;
+  ScenarioScale warm_scale = day_scale;
+  warm_scale.queries_per_day /= 2;
+  warm_scale.traffic_stream ^= 0xbeefcafeULL;
+  const std::int64_t day = scenario_day_index(ScenarioDate::kDec30);
+
+  const auto ns = std::make_shared<const ScenarioNamespace>(
+      ScenarioDate::kDec30, day_scale);
+  for (const ScenarioScale& scale : {warm_scale, day_scale}) {
+    for (std::size_t shard = 0; shard < 4; ++shard) {
+      Scenario shared(ns, scale);
+      Scenario alone(ScenarioDate::kDec30, scale);
+      const std::vector<StreamEntry> got = shard_stream(shared, day, shard);
+      const std::vector<StreamEntry> want = shard_stream(alone, day, shard);
+      ASSERT_FALSE(want.empty());
+      ASSERT_EQ(got.size(), want.size()) << "shard " << shard;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_TRUE(got[i] == want[i])
+            << "shard " << shard << " query " << i << ": " << got[i].qname
+            << " vs " << want[i].qname;
+      }
+      EXPECT_EQ(shared.authority().queries(), alone.authority().queries());
+      EXPECT_EQ(shared.authority().nxdomains(), alone.authority().nxdomains());
+    }
+  }
+}
+
+TEST(ScenarioStreamTest, NamespaceRejectsAScaleItDoesNotServe) {
+  ScenarioScale scale;
+  scale.population_scale = 0.05;
+  const auto ns =
+      std::make_shared<const ScenarioNamespace>(ScenarioDate::kFeb01, scale);
+  ScenarioScale other = scale;
+  other.seed += 1;
+  EXPECT_FALSE(ns->serves(other));
+  EXPECT_THROW(Scenario(ns, other), std::invalid_argument);
+  other = scale;
+  other.queries_per_day = 7;
+  other.traffic_stream = 3;
+  EXPECT_TRUE(ns->serves(other));
 }
 
 TEST(TrafficGenTest, ErrorsOnBadUsage) {

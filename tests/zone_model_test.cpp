@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <unordered_set>
 
 namespace dnsnoise {
@@ -119,6 +120,44 @@ TEST(DisposableZoneTest, RrPerAnswerClampedToPool) {
   EXPECT_EQ(answer.answers.size(), 2u);
 }
 
+TEST(DisposableZoneTest, EmptyRdataPoolIsRejected) {
+  // Every answer draws its records from the pool, so a zone without one
+  // cannot answer (it used to die dividing by zero on its first answer).
+  DisposableZoneConfig config;
+  config.apex = "t.vendor.com";
+  config.rdata_pool = 0;
+  EXPECT_THROW(make_disposable(config), std::invalid_argument);
+}
+
+TEST(DisposableZoneTest, NewStreamSharesTheZoneWithAFreshRecentRing) {
+  DisposableZoneConfig config;
+  config.apex = "x.vendor.net";
+  config.repeat_probability = 0.5;
+  auto original = make_disposable(config);
+  Rng warm(12);
+  for (int i = 0; i < 100; ++i) original.sample_query(warm);
+  // A fresh stream draws exactly what a fresh model draws, whatever the
+  // original's ring holds.
+  const std::shared_ptr<ZoneModel> stream = original.new_stream();
+  ASSERT_NE(stream, nullptr);
+  auto fresh = make_disposable(config);
+  Rng a(13);
+  Rng b(13);
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_EQ(stream->sample_query(a).qname, fresh.sample_query(b).qname);
+  }
+  SyntheticAuthority from_stream;
+  SyntheticAuthority from_fresh;
+  stream->install(from_stream);
+  fresh.install(from_fresh);
+  for (const RRType type : {RRType::A, RRType::AAAA}) {
+    const Question q{DomainName("abc.x.vendor.net"), type};
+    EXPECT_EQ(from_stream.resolve(q, 0).answers,
+              from_fresh.resolve(q, 0).answers);
+  }
+  EXPECT_EQ(PopularZoneModel(PopularZoneConfig{"p.com"}).new_stream(), nullptr);
+}
+
 TEST(PopularZoneTest, FixedHostSetWithZipfPopularity) {
   PopularZoneConfig config;
   config.apex = "popular.com";
@@ -190,6 +229,49 @@ TEST(OtherSitesTest, SiteDomainsAreStable) {
   const OtherSitesModel b(config);
   for (std::size_t i = 0; i < 100; ++i) {
     EXPECT_EQ(a.site_domain(i), b.site_domain(i));
+  }
+}
+
+TEST(OtherSitesTest, AnswersExactlyTheSiteSet) {
+  // Oracle: a plain string set of the site domains.  Candidates are the
+  // sites, domains of indices past the population (same word shape, maybe
+  // the same TLD), and near-miss variants of each.
+  OtherSitesConfig config;
+  config.sites = 3000;
+  const OtherSitesModel model(config);
+  std::set<std::string> sites;
+  for (std::size_t i = 0; i < config.sites; ++i) {
+    sites.insert(model.site_domain(i));
+  }
+  SyntheticAuthority authority;
+  model.install(authority);
+  std::size_t resolved = 0;
+  for (std::size_t i = 0; i < 2 * config.sites; ++i) {
+    const std::string domain = model.site_domain(i);
+    for (const std::string& name :
+         {domain, "www." + domain, "x" + domain, domain.substr(1)}) {
+      const bool expected =
+          sites.contains(name) ||
+          (name.starts_with("www.") && sites.contains(name.substr(4)));
+      const auto answer =
+          authority.resolve({DomainName(name), RRType::A}, 0);
+      ASSERT_EQ(answer.rcode == RCode::NoError, expected) << name;
+      resolved += expected ? 1 : 0;
+    }
+  }
+  EXPECT_GE(resolved, 2 * config.sites);  // sites and their www. hosts
+
+  // An empty population still samples (site 0's name) but resolves nothing.
+  config.sites = 0;
+  OtherSitesModel empty(config);
+  SyntheticAuthority none;
+  empty.install(none);
+  Rng rng(14);
+  for (int i = 0; i < 20; ++i) {
+    const QuerySpec query = empty.sample_query(rng);
+    EXPECT_EQ(none.resolve({DomainName(query.qname), query.qtype}, 0).rcode,
+              RCode::NXDomain)
+        << query.qname;
   }
 }
 
