@@ -89,8 +89,8 @@ MiningSession& MiningSession::enable_tracing(bool enabled,
 
 MiningSession& MiningSession::enable_progress(bool enabled,
                                               double interval_seconds) {
-  options_.progress = enabled;
-  options_.progress_interval_seconds = interval_seconds;
+  progress_ = enabled;
+  progress_interval_seconds_ = interval_seconds;
   if (enabled && metrics_ == nullptr) enable_metrics();
   return *this;
 }
@@ -103,8 +103,8 @@ MiningSession& MiningSession::enable_telemetry(bool enabled,
     return *this;
   }
   telemetry_ = nullptr;  // drop first so enable_metrics skips a restart
-  telemetry_port_ = port;
-  telemetry_stall_seconds_ = stall_seconds;
+  telemetry_config_.port = port;
+  telemetry_config_.stall_seconds = stall_seconds;
   if (metrics_ == nullptr) enable_metrics();
   restart_telemetry();
   return *this;
@@ -140,10 +140,8 @@ std::unique_ptr<ServedMiningDay> MiningSession::serve(ScenarioDate date) {
 void MiningSession::restart_telemetry() {
   telemetry_ = nullptr;  // stop the old server before rebinding the port
   if (metrics_ == nullptr) return;
-  obs::TelemetryConfig config;
-  config.port = telemetry_port_;
-  config.stall_seconds = telemetry_stall_seconds_;
-  telemetry_ = std::make_shared<obs::TelemetryServer>(*metrics_, config);
+  telemetry_ =
+      std::make_shared<obs::TelemetryServer>(*metrics_, telemetry_config_);
   if (sketch_ != nullptr) {
     // Both callables run on the scrape thread; the shared_ptr copies keep
     // the plane and registry alive even if the session re-enables them
@@ -181,6 +179,11 @@ EngineReport MiningSession::simulate(
   if (threads_ == 0) {
     report.status = MiningDayStatus::kInvalidConfig;
     report.error = "engine needs at least one thread";
+    return report;
+  }
+  if (!valid_warmup(options_)) {
+    report.status = MiningDayStatus::kInvalidConfig;
+    report.error = "warmup volume fraction must be in [0, 1]";
     return report;
   }
   if (shard_count == 0) {
@@ -225,9 +228,9 @@ EngineReport MiningSession::simulate(
   // The heartbeat only loads the pre-resolved handles it captures here;
   // shards keep hammering their relaxed atomics, no lock is shared.
   std::unique_ptr<obs::ProgressReporter> progress;
-  if (options_.progress && metrics != nullptr) {
+  if (progress_ && metrics != nullptr) {
     obs::ProgressConfig progress_config;
-    progress_config.interval_seconds = options_.progress_interval_seconds;
+    progress_config.interval_seconds = progress_interval_seconds_;
     progress_config.expected_queries = options_.scale.queries_per_day;
     progress_config.shard_count = shard_count;
     progress =
@@ -278,12 +281,8 @@ EngineReport MiningSession::simulate(
         // Same reduced-volume warmup day the classic pipeline runs, shard
         // filtered: warm clients hash into the same partition, so each
         // shard cache warms exactly like its server would.
-        ScenarioScale warm_scale = options_.scale;
-        warm_scale.queries_per_day = static_cast<std::uint64_t>(
-            static_cast<double>(warm_scale.queries_per_day) *
-            options_.warmup_volume_fraction);
-        warm_scale.traffic_stream ^= 0xbeefcafeULL;
-        Scenario warm(ns, warm_scale);
+        Scenario warm(ns, warmup_scale(options_.scale,
+                                       options_.warmup_volume_fraction));
         warm.traffic().run_day_shard(day_index - 1, spec, feed);
         fed = 0;  // warmup queries are not part of the day
       }

@@ -8,24 +8,6 @@
 
 namespace dnsnoise {
 
-namespace {
-
-/// In-process warmup feed, identical to the pipeline's drive loop.
-void drive_warmup(TrafficGenerator& traffic, RdnsCluster& cluster,
-                  std::int64_t day, obs::Heartbeat& heartbeat) {
-  Question question;  // scratch reused across the day (zero-alloc re-parse)
-  traffic.run_day(day, [&cluster, &question, &heartbeat](
-                           SimTime ts, std::uint64_t client,
-                           const QuerySpec& query) {
-    heartbeat.tick();
-    if (!question.name.assign(query.qname)) return;
-    question.type = query.qtype;
-    cluster.query_view(client, question, ts);
-  });
-}
-
-}  // namespace
-
 ServedMiningDay::ServedMiningDay(
     ScenarioDate date, const PipelineOptions& options, std::size_t threads,
     const DnsServerOptions& server,
@@ -48,20 +30,21 @@ ServedMiningDay::ServedMiningDay(
 
   obs::Heartbeat heartbeat(options_.metrics, "cluster");
   heartbeat.beat();
-  if (options_.warmup) {
+  if (!valid_warmup(options_)) {
+    // Rejected like a failed bind: the frontend below is built but never
+    // started, so udp_port() stays callable and finish() reports error_.
+    error_ = "warmup volume fraction must be in [0, 1]";
+  } else if (options_.warmup) {
     // The same reduced-volume warmup day simulate_day runs, in-process and
     // before the capture attaches: caches reach steady state identically
     // whether the measured day then arrives in-process or over the wire.
     // It draws from the day scenario's namespace; the authority hook's
     // extra zones stay on the day scenario's authority, which the cluster
     // resolves against.
-    ScenarioScale warm_scale = scenario_.scale();
-    warm_scale.queries_per_day = static_cast<std::uint64_t>(
-        static_cast<double>(warm_scale.queries_per_day) *
-        options_.warmup_volume_fraction);
-    warm_scale.traffic_stream ^= 0xbeefcafeULL;
-    Scenario warm(scenario_.shared_namespace(), warm_scale);
-    drive_warmup(warm.traffic(), *cluster_, day_index_ - 1, heartbeat);
+    Scenario warm(scenario_.shared_namespace(),
+                  warmup_scale(scenario_.scale(),
+                               options_.warmup_volume_fraction));
+    drive_day(warm.traffic(), *cluster_, day_index_ - 1, &heartbeat);
   }
 
   capture_.start_day(day_index_);
@@ -87,7 +70,7 @@ ServedMiningDay::ServedMiningDay(
   frontend_config.day_start = day_index_ * kSecondsPerDay;
   frontend_config.metrics = options_.metrics;
   frontend_ = std::make_unique<WireFrontend>(*cluster_, frontend_config);
-  if (!frontend_->start()) error_ = frontend_->error();
+  if (error_.empty() && !frontend_->start()) error_ = frontend_->error();
   if (telemetry_ != nullptr && error_.empty()) {
     // The source closes over this day's frontend; detach_slowlog() runs
     // before the frontend is destroyed (finish/destructor), so the

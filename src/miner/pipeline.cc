@@ -1,22 +1,31 @@
 #include "miner/pipeline.h"
 
+#include <stdexcept>
+
 #include "obs/heartbeat.h"
 #include "obs/json_snapshot.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/sketch/traffic_sketch.h"
-#include "obs/telemetry_server.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
 
 namespace dnsnoise {
 
-namespace {
+ScenarioScale warmup_scale(const ScenarioScale& day, double fraction) {
+  ScenarioScale warm = day;
+  warm.queries_per_day = static_cast<std::uint64_t>(
+      static_cast<double>(day.queries_per_day) * fraction);
+  warm.traffic_stream ^= 0xbeefcafeULL;
+  return warm;
+}
 
-/// Feeds one generated day into the cluster.  `heartbeat` (null-gated)
-/// keeps the cluster stage alive on /healthz during the day.
+bool valid_warmup(const PipelineOptions& options) noexcept {
+  const double fraction = options.warmup_volume_fraction;
+  return !options.warmup || (fraction >= 0.0 && fraction <= 1.0);
+}
+
 void drive_day(TrafficGenerator& traffic, RdnsCluster& cluster,
-               std::int64_t day, obs::Heartbeat* heartbeat = nullptr) {
+               std::int64_t day, obs::Heartbeat* heartbeat) {
   Question question;  // scratch reused across the day (zero-alloc re-parse)
   traffic.run_day(day, [&cluster, &question, heartbeat](
                            SimTime ts, std::uint64_t client,
@@ -30,11 +39,12 @@ void drive_day(TrafficGenerator& traffic, RdnsCluster& cluster,
   });
 }
 
-}  // namespace
-
 DnsCacheStats simulate_day(Scenario& scenario, DayCapture& capture,
                            const PipelineOptions& options,
                            std::int64_t day_index) {
+  if (!valid_warmup(options)) {
+    throw std::invalid_argument("warmup volume fraction must be in [0, 1]");
+  }
   ClusterConfig cluster_config = options.cluster;
   cluster_config.metrics = options.metrics;
   cluster_config.trace = options.trace;
@@ -52,15 +62,9 @@ DnsCacheStats simulate_day(Scenario& scenario, DayCapture& capture,
           : nullptr,
       options.trace, obs::TraceOp::kClusterSimulate);
   if (options.warmup) {
-    // Warm the caches with a reduced-volume preceding day.  The warmup
-    // scenario shares the zone population (same seed) but draws a distinct
-    // query stream, so disposable names are not artificially re-queried.
-    ScenarioScale warm_scale = scenario.scale();
-    warm_scale.queries_per_day = static_cast<std::uint64_t>(
-        static_cast<double>(warm_scale.queries_per_day) *
-        options.warmup_volume_fraction);
-    warm_scale.traffic_stream ^= 0xbeefcafeULL;
-    Scenario warm(scenario.shared_namespace(), warm_scale);
+    Scenario warm(scenario.shared_namespace(),
+                  warmup_scale(scenario.scale(),
+                               options.warmup_volume_fraction));
     drive_day(warm.traffic(), cluster, day_index - 1, &heartbeat);
   }
   capture.start_day(day_index);
@@ -177,25 +181,11 @@ MiningDayResult finish_mining_day(DayCapture& tap, const Scenario& scenario,
 MiningDayResult run_mining_day(ScenarioDate date,
                                const PipelineOptions& options,
                                DayCapture* capture) {
-  // Run-scoped observability surfaces.  Declaration order matters on the
-  // way out: the run-active gauge drops first (so /healthz reads "idle"),
-  // then the progress reporter flushes its final line, then the telemetry
-  // server serves until destruction.
-  std::unique_ptr<obs::TelemetryServer> telemetry;
-  if (options.telemetry_port != 0 && options.metrics != nullptr) {
-    obs::TelemetryConfig config;
-    config.port = options.telemetry_port;
-    config.stall_seconds = options.telemetry_stall_seconds;
-    telemetry =
-        std::make_unique<obs::TelemetryServer>(*options.metrics, config);
-    telemetry->start();
-  }
-  std::unique_ptr<obs::ProgressReporter> progress;
-  if (options.progress && options.metrics != nullptr) {
-    obs::ProgressConfig progress_config;
-    progress_config.interval_seconds = options.progress_interval_seconds;
-    progress = std::make_unique<obs::ProgressReporter>(*options.metrics,
-                                                       progress_config);
+  if (!valid_warmup(options)) {
+    MiningDayResult result;
+    result.status = MiningDayStatus::kInvalidConfig;
+    result.error = "warmup volume fraction must be in [0, 1]";
+    return result;
   }
   const obs::RunActiveScope run_active(options.metrics);
 
@@ -203,11 +193,7 @@ MiningDayResult run_mining_day(ScenarioDate date,
   DayCapture local_capture(options.capture);
   DayCapture& tap = capture != nullptr ? *capture : local_capture;
   simulate_day(scenario, tap, options, scenario_day_index(date));
-  MiningDayResult result = finish_mining_day(tap, scenario, options);
-  if (telemetry != nullptr && !result.trace_json.empty()) {
-    telemetry->publish_trace(result.trace_json);
-  }
-  return result;
+  return finish_mining_day(tap, scenario, options);
 }
 
 }  // namespace dnsnoise

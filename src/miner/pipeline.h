@@ -18,6 +18,7 @@
 #include "workload/scenario.h"
 
 namespace dnsnoise::obs {
+class Heartbeat;
 class MetricsRegistry;
 class TraceCollector;
 class TrafficSketchPlane;
@@ -36,7 +37,9 @@ struct PipelineOptions {
   /// actual protocol (one model, applied across the 11-month campaign).
   /// Must outlive the call.
   const BinaryClassifier* pretrained = nullptr;
-  /// Run a reduced-volume warmup day first so caches reach steady state.
+  /// Run a reduced-volume warmup day first so caches reach steady state
+  /// (see warmup_scale).  The fraction must lie in [0, 1]; a run with any
+  /// other value (negative, NaN, above 1) is rejected as kInvalidConfig.
   bool warmup = true;
   double warmup_volume_fraction = 0.5;
   DayCaptureConfig capture;
@@ -61,21 +64,6 @@ struct PipelineOptions {
   /// (the default) attaches nothing — zero hot-path overhead — and
   /// findings are byte-identical either way (TrafficPlane.* tests).
   obs::TrafficSketchPlane* sketch = nullptr;
-  /// Opt-in live telemetry endpoint (DESIGN.md §13): when non-zero and
-  /// `metrics` is set, run_mining_day serves GET /metrics (OpenMetrics),
-  /// /healthz, and /trace on 127.0.0.1:<port> for the duration of the
-  /// run.  MiningSession::enable_telemetry owns a session-lifetime server
-  /// instead, surviving across days.  Scrapes snapshot on the serve
-  /// thread; findings are bit-identical with the endpoint on or off.
-  std::uint16_t telemetry_port = 0;
-  /// /healthz flags a stage as stalled once its heartbeat gauge is older
-  /// than this while a run is active.
-  double telemetry_stall_seconds = 30.0;
-  /// Opt-in stderr progress heartbeat (one background reader thread, no
-  /// hot-path locks); requires `metrics`.  MiningSession::enable_progress
-  /// sets both fields.
-  bool progress = false;
-  double progress_interval_seconds = 1.0;
 };
 
 /// Per-date aggregates used by the growth figures (Fig. 13, Tables I/II).
@@ -138,10 +126,29 @@ MiningDayResult run_mining_day(ScenarioDate date,
 /// DayCapture::start_day(day_index) — the single documented reset point:
 /// per-day state (tree, CHR, series, name sets, fpDNS) is cleared, the
 /// cumulative rpDNS store is kept.  Warmup traffic runs before the reset,
-/// so it warms the caches without polluting the capture.
+/// so it warms the caches without polluting the capture.  Throws
+/// std::invalid_argument, before any traffic runs, when !valid_warmup.
 DnsCacheStats simulate_day(Scenario& scenario, DayCapture& capture,
                            const PipelineOptions& options,
                            std::int64_t day_index);
+
+/// The warmup day before a measured day of scale `day`: the same zone
+/// population at `fraction` of the day's volume (truncated), drawn from a
+/// distinct query stream so disposable names are not artificially
+/// re-queried, and run as day index day_index - 1.  The one definition
+/// shared by simulate_day, the sharded engine and served days.
+/// `fraction` must lie in [0, 1] (see valid_warmup).
+ScenarioScale warmup_scale(const ScenarioScale& day, double fraction);
+
+/// False when `options` asks for a warmup whose volume fraction lies
+/// outside [0, 1] (NaN included).  Such a day is rejected before it
+/// starts: the fraction's cast to a query count would be undefined.
+bool valid_warmup(const PipelineOptions& options) noexcept;
+
+/// Feeds one generated day of `traffic` into `cluster`.  `heartbeat`
+/// (null-gated) keeps the cluster stage alive on /healthz during the day.
+void drive_day(TrafficGenerator& traffic, RdnsCluster& cluster,
+               std::int64_t day, obs::Heartbeat* heartbeat = nullptr);
 
 /// Alternative mining strategy for finish_mining_day: produce findings from
 /// the (tree, chr) pair using `miner`.  Must be output-equivalent to

@@ -30,8 +30,7 @@ class Timer;
 
 struct ProgressConfig {
   /// Seconds between heartbeat lines (non-positive values fall back to
-  /// 1.0; configurable through MiningSession::enable_progress and
-  /// PipelineOptions::progress_interval_seconds).
+  /// 1.0; configurable through MiningSession::enable_progress).
   double interval_seconds = 1.0;
   /// Expected total queries below the cluster (day + warmup) for the ETA;
   /// 0 disables the ETA.

@@ -19,42 +19,23 @@ DispatchLevel best_supported() noexcept {
   return DispatchLevel::kScalar;
 }
 
-/// Active state: the dispatch level plus whether it was *forced* (env var
-/// or set_active_level) rather than auto-detected.  Forced levels apply
-/// to every kernel; the auto default applies the measured per-kernel
-/// rules (hist_level).  Packed into one byte: bit 7 = forced.
-constexpr std::uint8_t kForcedBit = 0x80;
-
-/// Initial state: best the CPU supports, optionally clamped — and marked
-/// forced — by the DNSNOISE_KERNEL_LEVEL env var (scalar|sse2|avx2).  An
-/// env request for an unavailable level is ignored rather than crashing
-/// the process.
-std::uint8_t initial_state() noexcept {
+/// Initial level: best the CPU supports, optionally clamped by the
+/// DNSNOISE_KERNEL_LEVEL env var (scalar|sse2|avx2).  An env request for
+/// an unavailable level is ignored rather than crashing the process.
+DispatchLevel initial_level() noexcept {
   const DispatchLevel best = best_supported();
   if (const char* env = std::getenv("DNSNOISE_KERNEL_LEVEL")) {
     DispatchLevel wanted = best;
-    bool recognized = false;
-    if (std::strcmp(env, "scalar") == 0) {
-      wanted = DispatchLevel::kScalar;
-      recognized = true;
-    }
-    if (std::strcmp(env, "sse2") == 0) {
-      wanted = DispatchLevel::kSse2;
-      recognized = true;
-    }
-    if (std::strcmp(env, "avx2") == 0) {
-      wanted = DispatchLevel::kAvx2;
-      recognized = true;
-    }
-    if (recognized && wanted <= best) {
-      return static_cast<std::uint8_t>(wanted) | kForcedBit;
-    }
+    if (std::strcmp(env, "scalar") == 0) wanted = DispatchLevel::kScalar;
+    if (std::strcmp(env, "sse2") == 0) wanted = DispatchLevel::kSse2;
+    if (std::strcmp(env, "avx2") == 0) wanted = DispatchLevel::kAvx2;
+    if (wanted <= best) return wanted;
   }
-  return static_cast<std::uint8_t>(best);
+  return best;
 }
 
-std::atomic<std::uint8_t>& active_slot() noexcept {
-  static std::atomic<std::uint8_t> slot{initial_state()};
+std::atomic<DispatchLevel>& active_slot() noexcept {
+  static std::atomic<DispatchLevel> slot{initial_level()};
   return slot;
 }
 
@@ -103,8 +84,7 @@ const char* level_name(DispatchLevel level) noexcept {
 }
 
 DispatchLevel active_level() noexcept {
-  return static_cast<DispatchLevel>(
-      active_slot().load(std::memory_order_relaxed) & ~kForcedBit);
+  return active_slot().load(std::memory_order_relaxed);
 }
 
 bool level_available(DispatchLevel level) noexcept {
@@ -113,49 +93,20 @@ bool level_available(DispatchLevel level) noexcept {
 
 bool set_active_level(DispatchLevel level) noexcept {
   if (!level_available(level)) return false;
-  active_slot().store(static_cast<std::uint8_t>(level) | kForcedBit,
-                      std::memory_order_relaxed);
+  active_slot().store(level, std::memory_order_relaxed);
   return true;
-}
-
-DispatchLevel hist_level() noexcept {
-  const std::uint8_t state = active_slot().load(std::memory_order_relaxed);
-  if ((state & kForcedBit) != 0) {
-    return static_cast<DispatchLevel>(state & ~kForcedBit);
-  }
-  // Measured rule: at DNS label/name sizes the distinct-symbol count is
-  // close to the length, so one broadcast-compare per distinct symbol
-  // does more work than one counter increment per byte.  The scalar loop
-  // wins on both short labels and full names; the vector histograms stay
-  // reachable for forced runs and parity tests.
-  return DispatchLevel::kScalar;
 }
 
 void hist_init(CharHist& hist) noexcept {
   std::memset(&hist, 0, sizeof(hist));
 }
 
-void hist_build_at(DispatchLevel level, CharHist& hist,
-                   std::string_view s) noexcept {
-#if defined(DNSNOISE_KERNELS_X86)
-  switch (level) {
-    case DispatchLevel::kAvx2:
-      detail::hist_build_avx2(hist, s);
-      return;
-    case DispatchLevel::kSse2:
-      detail::hist_build_sse2(hist, s);
-      return;
-    case DispatchLevel::kScalar:
-      break;
-  }
-#else
-  (void)level;
-#endif
-  detail::hist_build_scalar(hist, s);
-}
-
 void hist_build(CharHist& hist, std::string_view s) noexcept {
-  hist_build_at(hist_level(), hist, s);
+  for (const char ch : s) {
+    const auto c = static_cast<unsigned char>(ch);
+    ++hist.counts[c];
+    hist.present[c >> 6] |= std::uint64_t{1} << (c & 63);
+  }
 }
 
 void hist_reset(CharHist& hist) noexcept {
@@ -198,24 +149,19 @@ double entropy_from_hist(const CharHist& hist, std::uint64_t total) noexcept {
   return h > 0.0 ? h : 0.0;
 }
 
-double shannon_entropy_at(DispatchLevel level, std::string_view s) noexcept {
+double shannon_entropy(std::string_view s) noexcept {
   CharHist& hist = scratch_hist();
-  hist_build_at(level, hist, s);
+  hist_build(hist, s);
   const double h = entropy_from_hist(hist, s.size());
   hist_reset(hist);
   return h;
 }
 
-double shannon_entropy(std::string_view s) noexcept {
-  return shannon_entropy_at(hist_level(), s);
-}
-
 void entropy_many(std::span<const std::string_view> strings,
                   std::span<double> out) noexcept {
-  const DispatchLevel level = hist_level();
   CharHist& hist = scratch_hist();
   for (std::size_t i = 0; i < strings.size(); ++i) {
-    hist_build_at(level, hist, strings[i]);
+    hist_build(hist, strings[i]);
     out[i] = entropy_from_hist(hist, strings[i].size());
     hist_reset(hist);
   }
@@ -244,14 +190,6 @@ NameScan normalize_name(std::string_view in, char* out,
 }
 
 namespace detail {
-
-void hist_build_scalar(CharHist& hist, std::string_view s) noexcept {
-  for (const char ch : s) {
-    const auto c = static_cast<unsigned char>(ch);
-    ++hist.counts[c];
-    hist.present[c >> 6] |= std::uint64_t{1} << (c & 63);
-  }
-}
 
 NameScan normalize_name_scalar(std::string_view in, char* out,
                                std::uint16_t* offsets) noexcept {

@@ -3,18 +3,19 @@
 // The LAD miner spends its time in three embarrassingly data-parallel
 // loops: per-label character histograms (Shannon entropy, Section V-A2),
 // batched entropy over interned label/name arrays, and the dot-scan that
-// normalizes every DomainName the capture path decodes.  This layer gives
-// each of them an SSE2 and an AVX2 kernel behind one runtime-dispatched
-// API with a portable scalar fallback.
+// normalizes every DomainName the capture path decodes.  The dot-scan has
+// an SSE2 and an AVX2 kernel behind one runtime-dispatched API with a
+// portable scalar fallback.  The histograms are one scalar counting loop:
+// at DNS label/name sizes the distinct-symbol count is close to the
+// length, where broadcast-compare vector histograms measured slower than
+// one counter increment per byte (DESIGN.md §15.3).
 //
 // Determinism contract (DESIGN.md §15): a kernel may vectorize only the
-// *integer* part of the work — byte counts, presence bitmaps, class
-// masks, label offsets — which is bit-exact regardless of lane width.
-// Every floating-point reduction (entropy_from_hist) is shared scalar
-// code compiled once, summing in a fixed order (ascending byte value), so
-// scalar, SSE2, and AVX2 produce bit-identical doubles by construction.
-// The parity tests in tests/simd_kernels_test.cpp enforce this across
-// every available dispatch level.
+// *integer* part of the work — class masks, label offsets — which is
+// bit-exact regardless of lane width.  The floating-point reduction
+// (entropy_from_hist) is shared scalar code summing in a fixed order
+// (ascending byte value).  The parity tests in tests/simd_kernels_test.cpp
+// enforce this across every available dispatch level.
 #pragma once
 
 #include <cstddef>
@@ -42,19 +43,9 @@ DispatchLevel active_level() noexcept;
 bool level_available(DispatchLevel level) noexcept;
 
 /// Forces the active level (tests/benches).  Returns false and leaves the
-/// level unchanged if `level` is unavailable.  A forced level also applies
-/// to the histogram kernels (see hist_level).  Not safe to call while
+/// level unchanged if `level` is unavailable.  Not safe to call while
 /// other threads are inside kernels.
 bool set_active_level(DispatchLevel level) noexcept;
-
-/// The level hist_build / shannon_entropy / entropy_many actually run at.
-/// When a level was forced (DNSNOISE_KERNEL_LEVEL or set_active_level)
-/// this is the forced level; otherwise it is kScalar regardless of CPU:
-/// the broadcast-compare histograms measure *slower* than the scalar
-/// counting loop at DNS label/name sizes, where the distinct-symbol count
-/// is close to the length (measured rule, DESIGN.md §15).  The normalize
-/// kernel always runs at active_level(), where vectors win.
-DispatchLevel hist_level() noexcept;
 
 // ---------------------------------------------------------------------------
 // Character histograms
@@ -75,12 +66,7 @@ void hist_init(CharHist& hist) noexcept;
 
 /// Fills counts/present for the bytes of `s`.  Requires a clean workspace
 /// (fresh hist_init or hist_reset); does not accumulate across strings.
-/// All dispatch levels produce identical counts and bitmap.
 void hist_build(CharHist& hist, std::string_view s) noexcept;
-
-/// hist_build at an explicit level (parity tests and benches).
-void hist_build_at(DispatchLevel level, CharHist& hist,
-                   std::string_view s) noexcept;
 
 /// Clears only the buckets hist_build touched (O(distinct symbols)).
 void hist_reset(CharHist& hist) noexcept;
@@ -100,11 +86,8 @@ void hist_reset(CharHist& hist) noexcept;
 /// length the histogram was built from.
 double entropy_from_hist(const CharHist& hist, std::uint64_t total) noexcept;
 
-/// One-shot entropy of `s` at the active dispatch level.
+/// One-shot entropy of `s`.
 double shannon_entropy(std::string_view s) noexcept;
-
-/// One-shot entropy at an explicit level (parity tests).
-double shannon_entropy_at(DispatchLevel level, std::string_view s) noexcept;
 
 /// Batched entropy: out[i] = entropy of strings[i].  One workspace is
 /// reused across the whole batch, so per-string setup cost vanishes;

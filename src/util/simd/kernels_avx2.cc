@@ -1,8 +1,6 @@
-// AVX2 kernels: 32-byte character classification for the name dot-scan
-// and broadcast-compare byte histograms (a 63-byte label needs two
-// compares per distinct symbol).
+// AVX2 kernel: 32-byte character classification for the name dot-scan.
 //
-// Integer outputs only — bit-identical to the scalar kernels by
+// Integer outputs only — bit-identical to the scalar kernel by
 // construction; the parity tests assert it.
 #include "util/simd/kernels_internal.h"
 
@@ -14,47 +12,6 @@
 #include <cstring>
 
 namespace dnsnoise::kernels::detail {
-
-namespace {
-
-inline std::uint32_t eq_mask(__m256i v, __m256i needle) noexcept {
-  return static_cast<std::uint32_t>(
-      _mm256_movemask_epi8(_mm256_cmpeq_epi8(needle, v)));
-}
-
-}  // namespace
-
-void hist_build_avx2(CharHist& hist, std::string_view s) noexcept {
-  const std::size_t n = s.size();
-  if (n == 0) return;
-  if (n > 64) {
-    hist_build_scalar(hist, s);
-    return;
-  }
-  alignas(32) unsigned char buf[64] = {};
-  std::memcpy(buf, s.data(), n);
-  const __m256i v0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(buf));
-  const __m256i v1 =
-      _mm256_load_si256(reinterpret_cast<const __m256i*>(buf + 32));
-  // Mask-consume loop: exactly one broadcast-compare per *distinct*
-  // symbol.  `remaining` holds the not-yet-counted byte positions; each
-  // pass counts every occurrence of the lowest remaining position's byte
-  // and clears them all at once, so there is no per-position branch for
-  // the predictor to miss on high-entropy labels.
-  std::uint64_t remaining =
-      n >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << n) - 1);
-  while (remaining != 0) {
-    const unsigned char c = buf[std::countr_zero(remaining)];
-    const __m256i needle = _mm256_set1_epi8(static_cast<char>(c));
-    const std::uint64_t eq =
-        static_cast<std::uint64_t>(eq_mask(v0, needle)) |
-        (static_cast<std::uint64_t>(eq_mask(v1, needle)) << 32);
-    const std::uint64_t hits = eq & remaining;
-    remaining ^= hits;
-    hist.counts[c] = static_cast<std::uint32_t>(std::popcount(hits));
-    hist.present[c >> 6] |= std::uint64_t{1} << (c & 63);
-  }
-}
 
 NameScan normalize_name_avx2(std::string_view in, char* out,
                              std::uint16_t* offsets) noexcept {

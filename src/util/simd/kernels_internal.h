@@ -2,10 +2,9 @@
 // the per-ISA translation units (kernels_sse2.cc, kernels_avx2.cc).
 //
 // Everything here is integer bookkeeping: character class tables, the
-// label-offset walk over dot bitmasks, and the scalar reference kernels
-// the SIMD paths fall back to for oversized inputs.  Keeping the shared
-// pieces integer-only is what makes cross-level bit-exactness automatic
-// (see the determinism contract in kernels.h).
+// label-offset walk over dot bitmasks, and the scalar reference scan.
+// Keeping the shared pieces integer-only is what makes cross-level
+// bit-exactness automatic (see the determinism contract in kernels.h).
 #pragma once
 
 #include <array>
@@ -74,15 +73,12 @@ inline NameScan finish_scan(std::size_t n, const ScanState& st) noexcept {
   return {true, static_cast<std::uint16_t>(st.label_count)};
 }
 
-// --- per-level kernels ----------------------------------------------------
+// --- per-level scan kernels ----------------------------------------------
 
-void hist_build_scalar(CharHist& hist, std::string_view s) noexcept;
 NameScan normalize_name_scalar(std::string_view in, char* out,
                                std::uint16_t* offsets) noexcept;
 
 #if defined(DNSNOISE_KERNELS_X86)
-void hist_build_sse2(CharHist& hist, std::string_view s) noexcept;
-void hist_build_avx2(CharHist& hist, std::string_view s) noexcept;
 NameScan normalize_name_sse2(std::string_view in, char* out,
                              std::uint16_t* offsets) noexcept;
 NameScan normalize_name_avx2(std::string_view in, char* out,

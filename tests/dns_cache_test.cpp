@@ -9,26 +9,40 @@ std::vector<ResourceRecord> one_answer(const char* name, std::uint32_t ttl) {
   return {{DomainName(name), RRType::A, ttl, "192.0.2.7"}};
 }
 
-QuestionKey key_of(const char* name) { return {name, RRType::A}; }
+/// Inserts a one-record A answer for `name` through the string_view API.
+const CachedAnswer* insert_a(DnsCache& cache, const char* name,
+                             std::uint32_t ttl, SimTime now,
+                             bool disposable_hint = false) {
+  std::vector<ResourceRecord> answers = one_answer(name, ttl);
+  return cache.insert_positive(name, RRType::A, answers, now,
+                               disposable_hint);
+}
 
 TEST(DnsCacheTest, MissThenHit) {
   DnsCache cache(DnsCacheConfig{.capacity = 16});
-  const QuestionKey key = key_of("www.example.com");
-  EXPECT_EQ(cache.lookup(key, 0), nullptr);
-  cache.insert_positive(key, one_answer("www.example.com", 300), 0);
-  const CachedAnswer* hit = cache.lookup(key, 100);
+  const char* name = "www.example.com";
+  EXPECT_EQ(cache.lookup(name, RRType::A, 0), nullptr);
+  std::vector<ResourceRecord> answers = one_answer(name, 300);
+  const CachedAnswer* resident =
+      cache.insert_positive(name, RRType::A, answers, 0);
+  ASSERT_NE(resident, nullptr);
+  EXPECT_TRUE(answers.empty());  // consumed on successful insert
+  const CachedAnswer* hit = cache.lookup(name, RRType::A, 100);
   ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit, resident);
   EXPECT_EQ(hit->rcode, RCode::NoError);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
+  // Same name, different qtype is a distinct key.
+  EXPECT_EQ(cache.lookup(name, RRType::AAAA, 100), nullptr);
 }
 
 TEST(DnsCacheTest, TtlExpiry) {
   DnsCache cache(DnsCacheConfig{.capacity = 16});
-  const QuestionKey key = key_of("a.example.com");
-  cache.insert_positive(key, one_answer("a.example.com", 60), 0);
-  EXPECT_NE(cache.lookup(key, 59), nullptr);
-  EXPECT_EQ(cache.lookup(key, 60), nullptr);  // expired exactly at TTL
+  const char* name = "a.example.com";
+  insert_a(cache, name, 60, 0);
+  EXPECT_NE(cache.lookup(name, RRType::A, 59), nullptr);
+  EXPECT_EQ(cache.lookup(name, RRType::A, 60), nullptr);  // expired at TTL
   EXPECT_EQ(cache.stats().expired_misses, 1u);
   // Expired entries are erased on access.
   EXPECT_EQ(cache.size(), 0u);
@@ -36,10 +50,10 @@ TEST(DnsCacheTest, TtlExpiry) {
 
 TEST(DnsCacheTest, ZeroTtlNotCached) {
   DnsCache cache(DnsCacheConfig{.capacity = 16});
-  const QuestionKey key = key_of("zero.example.com");
-  cache.insert_positive(key, one_answer("zero.example.com", 0), 0);
+  const char* name = "zero.example.com";
+  EXPECT_EQ(insert_a(cache, name, 0, 0), nullptr);
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.lookup(key, 0), nullptr);
+  EXPECT_EQ(cache.lookup(name, RRType::A, 0), nullptr);
 }
 
 TEST(DnsCacheTest, MinTtlClampHoldsRecordsLonger) {
@@ -48,10 +62,10 @@ TEST(DnsCacheTest, MinTtlClampHoldsRecordsLonger) {
   config.capacity = 16;
   config.min_ttl = 5;
   DnsCache cache(config);
-  const QuestionKey key = key_of("clamped.example.com");
-  cache.insert_positive(key, one_answer("clamped.example.com", 0), 0);
-  EXPECT_NE(cache.lookup(key, 4), nullptr);
-  EXPECT_EQ(cache.lookup(key, 5), nullptr);
+  const char* name = "clamped.example.com";
+  insert_a(cache, name, 0, 0);
+  EXPECT_NE(cache.lookup(name, RRType::A, 4), nullptr);
+  EXPECT_EQ(cache.lookup(name, RRType::A, 5), nullptr);
 }
 
 TEST(DnsCacheTest, MaxTtlClamp) {
@@ -59,10 +73,10 @@ TEST(DnsCacheTest, MaxTtlClamp) {
   config.capacity = 16;
   config.max_ttl = 100;
   DnsCache cache(config);
-  const QuestionKey key = key_of("huge.example.com");
-  cache.insert_positive(key, one_answer("huge.example.com", 1'000'000), 0);
-  EXPECT_NE(cache.lookup(key, 99), nullptr);
-  EXPECT_EQ(cache.lookup(key, 100), nullptr);
+  const char* name = "huge.example.com";
+  insert_a(cache, name, 1'000'000, 0);
+  EXPECT_NE(cache.lookup(name, RRType::A, 99), nullptr);
+  EXPECT_EQ(cache.lookup(name, RRType::A, 100), nullptr);
 }
 
 TEST(DnsCacheTest, MinTtlAcrossRRsOfSet) {
@@ -71,18 +85,16 @@ TEST(DnsCacheTest, MinTtlAcrossRRsOfSet) {
       {DomainName("m.example.com"), RRType::A, 300, "192.0.2.1"},
       {DomainName("m.example.com"), RRType::A, 30, "192.0.2.2"},
   };
-  const QuestionKey key = key_of("m.example.com");
-  cache.insert_positive(key, std::move(answers), 0);
-  EXPECT_NE(cache.lookup(key, 29), nullptr);
-  EXPECT_EQ(cache.lookup(key, 30), nullptr);
+  cache.insert_positive("m.example.com", RRType::A, answers, 0);
+  EXPECT_NE(cache.lookup("m.example.com", RRType::A, 29), nullptr);
+  EXPECT_EQ(cache.lookup("m.example.com", RRType::A, 30), nullptr);
 }
 
 TEST(DnsCacheTest, NegativeCacheDisabledByDefault) {
   DnsCache cache(DnsCacheConfig{.capacity = 16});
-  const QuestionKey key = key_of("nx.example.com");
-  cache.insert_negative(key, 0);
+  cache.insert_negative("nx.example.com", RRType::A, 0);
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.lookup(key, 1), nullptr);
+  EXPECT_EQ(cache.lookup("nx.example.com", RRType::A, 1), nullptr);
 }
 
 TEST(DnsCacheTest, NegativeCacheEnabled) {
@@ -91,12 +103,11 @@ TEST(DnsCacheTest, NegativeCacheEnabled) {
   config.negative_cache = true;
   config.negative_ttl = 30;
   DnsCache cache(config);
-  const QuestionKey key = key_of("nx.example.com");
-  cache.insert_negative(key, 0);
-  const CachedAnswer* hit = cache.lookup(key, 10);
+  cache.insert_negative("nx.example.com", RRType::A, 0);
+  const CachedAnswer* hit = cache.lookup("nx.example.com", RRType::A, 10);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->rcode, RCode::NXDomain);
-  EXPECT_EQ(cache.lookup(key, 30), nullptr);
+  EXPECT_EQ(cache.lookup("nx.example.com", RRType::A, 30), nullptr);
 }
 
 TEST(DnsCacheTest, PrematureEvictionAccounting) {
@@ -104,10 +115,9 @@ TEST(DnsCacheTest, PrematureEvictionAccounting) {
   DnsCacheConfig config;
   config.capacity = 2;
   DnsCache cache(config);
-  cache.insert_positive(key_of("a.com"), one_answer("a.com", 1000), 0);
-  cache.insert_positive(key_of("b.com"), one_answer("b.com", 1000), 0,
-                        /*disposable_hint=*/true);
-  cache.insert_positive(key_of("c.com"), one_answer("c.com", 1000), 0);
+  insert_a(cache, "a.com", 1000, 0);
+  insert_a(cache, "b.com", 1000, 0, /*disposable_hint=*/true);
+  insert_a(cache, "c.com", 1000, 0);
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.stats().premature_evictions, 1u);
   // The evicted entry ("a.com") was not disposable.
@@ -118,56 +128,44 @@ TEST(DnsCacheTest, ExpiredEvictionIsNotPremature) {
   DnsCacheConfig config;
   config.capacity = 2;
   DnsCache cache(config);
-  cache.insert_positive(key_of("a.com"), one_answer("a.com", 10), 0);
-  cache.insert_positive(key_of("b.com"), one_answer("b.com", 1000), 0);
+  insert_a(cache, "a.com", 10, 0);
+  insert_a(cache, "b.com", 1000, 0);
   // Advance time past a.com's TTL before forcing the eviction.
-  (void)cache.lookup(key_of("b.com"), 500);
-  cache.insert_positive(key_of("c.com"), one_answer("c.com", 1000), 500);
+  (void)cache.lookup("b.com", RRType::A, 500);
+  insert_a(cache, "c.com", 1000, 500);
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.stats().premature_evictions, 0u);
 }
 
 TEST(DnsCacheTest, HitRateComputation) {
   DnsCache cache(DnsCacheConfig{.capacity = 16});
-  const QuestionKey key = key_of("h.example.com");
-  (void)cache.lookup(key, 0);  // miss
-  cache.insert_positive(key, one_answer("h.example.com", 100), 0);
-  (void)cache.lookup(key, 1);  // hit
-  (void)cache.lookup(key, 2);  // hit
-  (void)cache.lookup(key, 3);  // hit
+  const char* name = "h.example.com";
+  (void)cache.lookup(name, RRType::A, 0);  // miss
+  insert_a(cache, name, 100, 0);
+  (void)cache.lookup(name, RRType::A, 1);  // hit
+  (void)cache.lookup(name, RRType::A, 2);  // hit
+  (void)cache.lookup(name, RRType::A, 3);  // hit
   EXPECT_DOUBLE_EQ(cache.stats().hit_rate(), 0.75);
 }
 
 TEST(DnsCacheTest, EmptyAnswerNotCached) {
   DnsCache cache(DnsCacheConfig{.capacity = 16});
-  cache.insert_positive(key_of("e.com"), {}, 0);
+  std::vector<ResourceRecord> none;
+  EXPECT_EQ(cache.insert_positive("e.com", RRType::A, none, 0), nullptr);
   EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(DnsCacheTest, ForEachVisitsEntries) {
   DnsCache cache(DnsCacheConfig{.capacity = 16});
-  cache.insert_positive(key_of("a.com"), one_answer("a.com", 100), 0);
-  cache.insert_positive(key_of("b.com"), one_answer("b.com", 100), 0);
-  std::size_t count = 0;
-  cache.for_each([&count](const QuestionKey&, const CachedAnswer&) {
-    ++count;
+  insert_a(cache, "a.com", 100, 0);
+  insert_a(cache, "b.com", 100, 0);
+  std::vector<std::string> names;
+  cache.for_each([&names](const QuestionKey& key, const CachedAnswer&) {
+    EXPECT_EQ(key.type, RRType::A);
+    names.push_back(key.name);
   });
-  EXPECT_EQ(count, 2u);
-}
-
-TEST(DnsCacheTest, StringViewPathMatchesQuestionKeyPath) {
-  DnsCache cache(DnsCacheConfig{.capacity = 16});
-  std::vector<ResourceRecord> answers = one_answer("sv.example.com", 300);
-  const CachedAnswer* resident =
-      cache.insert_positive("sv.example.com", RRType::A, answers, 0);
-  ASSERT_NE(resident, nullptr);
-  EXPECT_TRUE(answers.empty());  // consumed on successful insert
-  ASSERT_EQ(resident->answers.size(), 1u);
-  // Both lookup flavours resolve to the same resident entry.
-  EXPECT_EQ(cache.lookup("sv.example.com", RRType::A, 10), resident);
-  EXPECT_EQ(cache.lookup(key_of("sv.example.com"), 10), resident);
-  // Same name, different qtype is a distinct key.
-  EXPECT_EQ(cache.lookup("sv.example.com", RRType::AAAA, 10), nullptr);
+  // MRU first.
+  EXPECT_EQ(names, (std::vector<std::string>{"b.com", "a.com"}));
 }
 
 TEST(DnsCacheTest, LookupOfNeverInternedNameCountsMiss) {

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -179,6 +181,58 @@ TEST(ParallelMinerTest, ZeroThreadsIsInvalidConfig) {
   const EngineReport report = session.simulate(ScenarioDate::kNov14, capture);
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.status, MiningDayStatus::kInvalidConfig);
+}
+
+TEST(ParallelMinerTest, OutOfRangeWarmupFractionIsInvalidConfig) {
+  // A negative or NaN fraction would cast to ~1.8e19 warmup queries; the
+  // day is rejected before any shard starts.
+  for (const double fraction :
+       {-0.5, std::numeric_limits<double>::quiet_NaN(), 1.5}) {
+    MiningSession session(small_scale());
+    session.cluster(small_cluster()).threads(2).warmup(true, fraction);
+    DayCapture capture;
+    const EngineReport report =
+        session.simulate(ScenarioDate::kNov14, capture);
+    EXPECT_EQ(report.status, MiningDayStatus::kInvalidConfig) << fraction;
+    EXPECT_FALSE(report.error.empty()) << fraction;
+    const MiningDayResult result = session.run(ScenarioDate::kNov14);
+    EXPECT_EQ(result.status, MiningDayStatus::kInvalidConfig) << fraction;
+  }
+}
+
+TEST(ParallelMinerTest, WarmupFractionsAtTheBoundsStillRun) {
+  ScenarioScale scale = small_scale();
+  scale.queries_per_day = 5'000;
+  for (const double fraction : {0.0, 0.5, 1.0}) {
+    MiningSession session(scale);
+    session.cluster(small_cluster()).threads(2).warmup(true, fraction);
+    DayCapture capture;
+    const EngineReport report =
+        session.simulate(ScenarioDate::kNov14, capture);
+    EXPECT_TRUE(report.ok()) << fraction << ": " << report.error;
+    EXPECT_GT(report.queries, 0u) << fraction;
+  }
+}
+
+TEST(ParallelMinerTest, ServedDayReportsAnOutOfRangeWarmupFraction) {
+  // Reported like a failed bind: ok() is false, the ports stay readable,
+  // and finish() returns the error instead of mining.
+  for (const double fraction :
+       {-0.5, std::numeric_limits<double>::quiet_NaN(), 1.5}) {
+    MiningSession session(small_scale());
+    session.cluster(small_cluster())
+        .warmup(true, fraction)
+        .enable_dns_server(true, 0);
+    const std::unique_ptr<ServedMiningDay> day =
+        session.serve(ScenarioDate::kNov14);
+    ASSERT_NE(day, nullptr);
+    EXPECT_FALSE(day->ok()) << fraction;
+    EXPECT_FALSE(day->error().empty()) << fraction;
+    EXPECT_EQ(day->udp_port(), 0u) << fraction;
+    const MiningDayResult result = day->finish();
+    EXPECT_EQ(result.status, MiningDayStatus::kInvalidConfig) << fraction;
+    EXPECT_EQ(result.error, day->error()) << fraction;
+  }
 }
 
 TEST(ParallelMinerTest, RunMiningDayStillReportsEmptyCapture) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 #include "ml/eval.h"
 
@@ -213,6 +215,49 @@ TEST(PipelineUnitTest, WarmupReducesColdMisses) {
 
   // With warm caches, fewer above-answers for the same below volume.
   EXPECT_LT(c1.above_series().sum_total(), c2.above_series().sum_total());
+}
+
+TEST(PipelineUnitTest, WarmupScaleIsTheReducedDayOnItsOwnStream) {
+  // The warmup rule every driver shares: the day's scale at the truncated
+  // fraction of its volume, on the 0xbeefcafe-offset query stream.
+  ScenarioScale day;
+  day.queries_per_day = 400'001;
+  day.traffic_stream = 7;
+  const ScenarioScale warm = warmup_scale(day, 0.3);
+  EXPECT_EQ(warm.queries_per_day, 120'000u);  // 120000.3 truncated
+  EXPECT_EQ(warm.traffic_stream, 7u ^ 0xbeefcafeULL);
+  EXPECT_EQ(warm.seed, day.seed);
+  EXPECT_EQ(warm.client_count, day.client_count);
+  EXPECT_EQ(warm.population_scale, day.population_scale);
+  EXPECT_EQ(warmup_scale(day, 0.0).queries_per_day, 0u);
+  EXPECT_EQ(warmup_scale(day, 1.0).queries_per_day, day.queries_per_day);
+}
+
+TEST(PipelineUnitTest, OutOfRangeWarmupFractionIsInvalidConfig) {
+  PipelineOptions options = small_options();
+  options.scale.queries_per_day = 5'000;
+  for (const double fraction :
+       {-0.5, std::numeric_limits<double>::quiet_NaN(), 1.5}) {
+    options.warmup_volume_fraction = fraction;
+    EXPECT_FALSE(valid_warmup(options)) << fraction;
+    const MiningDayResult result =
+        run_mining_day(ScenarioDate::kNov14, options);
+    EXPECT_EQ(result.status, MiningDayStatus::kInvalidConfig) << fraction;
+    EXPECT_FALSE(result.error.empty()) << fraction;
+    Scenario scenario(ScenarioDate::kNov14, options.scale);
+    DayCapture capture;
+    EXPECT_THROW(simulate_day(scenario, capture, options, 0),
+                 std::invalid_argument)
+        << fraction;
+  }
+  // A disabled warmup never reads the fraction.
+  options.warmup = false;
+  EXPECT_TRUE(valid_warmup(options));
+  options.warmup = true;
+  for (const double fraction : {0.0, 0.5, 1.0}) {
+    options.warmup_volume_fraction = fraction;
+    EXPECT_TRUE(valid_warmup(options)) << fraction;
+  }
 }
 
 }  // namespace

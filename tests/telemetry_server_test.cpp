@@ -456,17 +456,15 @@ TEST(TelemetryPipeline, TelemetryDoesNotChangeFindings) {
   }
 }
 
-TEST(TelemetryPipeline, ClassicPipelineServesForTheRunDuration) {
-  // PipelineOptions::telemetry_port wires the classic run_mining_day path;
-  // the server only lives for the duration of the call, so observable
-  // effects are the heartbeat gauges it leaves behind.
+TEST(TelemetryPipeline, ClassicPipelineLeavesHeartbeatsAndAnIdleRunGauge) {
+  // The classic run_mining_day path beats the cluster and miner stage
+  // heartbeats /healthz reads, and drops the run-active gauge on return.
   obs::MetricsRegistry registry;
   PipelineOptions options;
   options.scale = small_scale();
   options.cluster = small_cluster();
   options.warmup = false;
   options.metrics = &registry;
-  options.telemetry_port = 0;  // disabled: port 0 means "no server" here
   const MiningDayResult result = run_mining_day(ScenarioDate::kNov14, options);
   ASSERT_TRUE(result.ok()) << result.error;
   const obs::MetricsSnapshot snapshot = registry.snapshot();

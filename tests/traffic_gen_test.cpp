@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "miner/pipeline.h"
 #include "workload/scenario.h"
 
 namespace dnsnoise {
@@ -210,9 +211,7 @@ TEST(ScenarioStreamTest, SharedNamespaceShardsMatchStandAloneScenarios) {
   day_scale.queries_per_day = 16'000;
   day_scale.client_count = 2'000;
   day_scale.population_scale = 0.25;
-  ScenarioScale warm_scale = day_scale;
-  warm_scale.queries_per_day /= 2;
-  warm_scale.traffic_stream ^= 0xbeefcafeULL;
+  const ScenarioScale warm_scale = warmup_scale(day_scale, 0.5);
   const std::int64_t day = scenario_day_index(ScenarioDate::kDec30);
 
   const auto ns = std::make_shared<const ScenarioNamespace>(
